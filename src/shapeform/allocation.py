@@ -10,6 +10,7 @@ modules involved.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
@@ -44,6 +45,11 @@ class DisconnectionRecord:
     severed_links: tuple[tuple[int, int], ...]
 
 
+class AllocationError(RuntimeError):
+    """A selection or eviction would break an allocation invariant; signals
+    an engine bug."""
+
+
 class AllocationState:
     """Mutable record of who selected what, plus the broadcast log."""
 
@@ -62,8 +68,10 @@ class AllocationState:
         return self._spot_by_module.get(module_id)
 
     def select(self, spot_id: int, module_id: int, kind: str) -> None:
-        assert spot_id not in self.selections, f"spot {spot_id} already selected"
-        assert module_id not in self._spot_by_module, f"module {module_id} already holds a spot"
+        if spot_id in self.selections:
+            raise AllocationError(f"spot {spot_id} already selected")
+        if module_id in self._spot_by_module:
+            raise AllocationError(f"module {module_id} already holds a spot")
         self.selections[spot_id] = module_id
         self._spot_by_module[module_id] = spot_id
         self.selector_kind[module_id] = kind
@@ -83,13 +91,19 @@ class AllocationState:
 
 @dataclass(frozen=True)
 class PlanContext:
-    """Everything a selection decision needs: scenario lookups, spot values
-    and the derived target center.
+    """Everything a selection decision needs: scenario lookups, spot values,
+    the derived target center, and each module's fixed utility table.
 
-    Utilities of modules without initial links do not depend on the evolving
-    selections (nothing can be preserved, docking is charged per target
-    link), so they are computed once and cached along with the implied spot
-    preference order.
+    A module's state-free utility for a spot charges docking for every spot
+    neighbour and undocking for every initial link.  Against the evolving
+    selections, both charges are waived only across an adjacency between
+    the spot and a spot where one of the module's initial link partners now
+    sits.  Every other spot therefore keeps its state-free utility bit for
+    bit (the same expression with the same charge counts), so the table and
+    its preference order are computed once per module and only the few
+    spots next to placed partners are re-scored.  Modules without initial
+    links never need re-scoring.  Validation keeps every cost finite, so
+    utilities order totally and ties fall to the lower spot id everywhere.
     """
 
     index: ScenarioIndex
@@ -106,13 +120,14 @@ class PlanContext:
 
     def utility(self, module_id: int, spot_id: int, state: AllocationState) -> float:
         if not self.index.module_links[module_id]:
-            return self._linkless_table(module_id)[spot_id]
+            return self._table(module_id)[spot_id]
         return module_spot_utility(self.index.module_by_id[module_id],
                                    self.index.spot_by_id[spot_id],
                                    self.values, self.index, state,
                                    self.index.cost_params)
 
-    def _linkless_table(self, module_id: int) -> dict[int, float]:
+    def _table(self, module_id: int) -> dict[int, float]:
+        """State-free utility of every spot for the module."""
         table = self._fixed_utility.get(module_id)
         if table is None:
             module = self.index.module_by_id[module_id]
@@ -125,17 +140,52 @@ class PlanContext:
             self._fixed_utility[module_id] = table
         return table
 
+    def _order(self, module_id: int) -> list[int]:
+        """Spot ids by descending state-free utility, ties by lower id."""
+        order = self._fixed_order.get(module_id)
+        if order is None:
+            table = self._table(module_id)
+            order = sorted(table, key=lambda s: (-table[s], s))
+            self._fixed_order[module_id] = order
+        return order
+
+    def _near_partners(self, module_id: int, state: AllocationState) -> set[int]:
+        """Spots adjacent to a spot held by one of the module's initial link
+        partners: the only spots whose utility can differ from the table."""
+        near: set[int] = set()
+        for partner in self.index.module_links[module_id]:
+            spot_id = state.spot_of(partner)
+            if spot_id is not None:
+                near |= self.index.spot_neighbors[spot_id]
+        return near
+
+    def best_spot(self, module_id: int, state: AllocationState,
+                  excluded: Callable[[int], bool]) -> Optional[int]:
+        """The spot maximising ``(utility, -id)`` among those not excluded,
+        or ``None`` if every spot is excluded.
+
+        Spots off the re-scored set keep their table utility, so the best of
+        them is the first one the fixed order reaches; it competes with the
+        re-scored spots under the same key a full scan would use.
+        """
+        near = self._near_partners(module_id, state)
+        keys = [(self.utility(module_id, s, state), -s) for s in near if not excluded(s)]
+        for spot_id in self._order(module_id):
+            if spot_id not in near and not excluded(spot_id):
+                keys.append((self._table(module_id)[spot_id], -spot_id))
+                break
+        return -max(keys)[1] if keys else None
+
     def preference_order(self, module_id: int, state: AllocationState) -> list[int]:
         """Spot ids in descending utility, ties by lower id."""
-        if not self.index.module_links[module_id]:
-            order = self._fixed_order.get(module_id)
-            if order is None:
-                table = self._linkless_table(module_id)
-                order = sorted(table, key=lambda s: (-table[s], s))
-                self._fixed_order[module_id] = order
+        order = self._order(module_id)
+        near = self._near_partners(module_id, state)
+        if not near:
             return order
-        return sorted(self.index.sorted_spot_ids(),
-                      key=lambda s: (-self.utility(module_id, s, state), s))
+        table = self._table(module_id)
+        rescored = sorted((-self.utility(module_id, s, state), s) for s in near)
+        fixed = ((-table[s], s) for s in order if s not in near)
+        return [s for _, s in heapq.merge(rescored, fixed)]
 
 
 @dataclass
@@ -154,23 +204,30 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
     Succeeds only when the combined utility of (curr at the contested spot,
     blocker at its best alternative) strictly beats leaving things as they
     are, and the alternative spot is free or can itself be freed within the
-    remaining recursion budget.  On success the blocker's selection is
-    removed and (module, freed spot) appended to ``chain``; the caller
-    re-runs allocation for evicted modules once its own selection is
-    recorded, or restores the pairs to roll the attempt back.
+    remaining recursion budget.  Both best alternatives range over every
+    spot except the contested one and those held by block members; each is
+    found by ``PlanContext.best_spot``, which walks the module's fixed
+    preference order and re-scores only spots next to its placed link
+    partners, and returns exactly what a scan of every spot would.  On
+    success the blocker's selection is removed and (module, freed spot)
+    appended to ``chain``; the caller re-runs allocation for evicted modules
+    once its own selection is recorded, or restores the pairs to roll the
+    attempt back.
     """
     if depth >= ctx.index.algo_params.max_eviction_depth:
         return False
-    assert state.selector_kind.get(block_id) == SINGLETON, \
-        "only singleton selections can be evicted"
+    if state.selector_kind.get(block_id) != SINGLETON:
+        raise AllocationError(f"module {block_id} holds no singleton selection to evict")
     contested = state.spot_of(block_id)
-    candidates = [s for s in ctx.index.sorted_spot_ids()
-                  if s != contested
-                  and state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER]
-    if not candidates:
+
+    def excluded(spot_id: int) -> bool:
+        return (spot_id == contested
+                or state.selector_kind.get(state.selector_of(spot_id)) == BLOCK_MEMBER)
+
+    block_best = ctx.best_spot(block_id, state, excluded)
+    if block_best is None:
         return False
-    block_best = max(candidates, key=lambda s: (ctx.utility(block_id, s, state), -s))
-    curr_alt = max(candidates, key=lambda s: (ctx.utility(curr_id, s, state), -s))
+    curr_alt = ctx.best_spot(curr_id, state, excluded)
     gain = ctx.utility(curr_id, contested, state) + ctx.utility(block_id, block_best, state)
     keep = ctx.utility(curr_id, curr_alt, state) + ctx.utility(block_id, contested, state)
     if not gain > keep:

@@ -196,6 +196,9 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if not scenario.modules:
         raise ScenarioError("scenario needs at least one module")
     cp = scenario.cost_params
+    for name in ("alpha_loc", "c_dock", "c_undock"):
+        if not math.isfinite(getattr(cp, name)):
+            raise ScenarioError(f"cost param {name} must be finite, got {getattr(cp, name)}")
     if cp.alpha_loc <= 0 or cp.c_dock < 0 or cp.c_undock < 0:
         raise ScenarioError("cost params must satisfy alpha_loc > 0, c_dock >= 0, c_undock >= 0")
     if cp.c_dock <= cp.c_undock:

@@ -1,4 +1,8 @@
-from hypothesis import given, settings
+import random
+import warnings
+
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from shapeform.allocation import (
     BLOCK_MEMBER,
@@ -6,15 +10,18 @@ from shapeform.allocation import (
     NO_SPOT_FOUND,
     SELECTION_BROADCAST,
     SINGLETON,
+    AllocationError,
     AllocationState,
     PlanContext,
     block_allocation,
     evict,
     spot_allocation,
 )
+from shapeform.generate import GenParams, generate_scenario
 from shapeform.metrics import rank_entities, spot_values
 from shapeform.model import (
     AlgoParams,
+    CostParams,
     Module,
     Pose,
     Scenario,
@@ -23,6 +30,7 @@ from shapeform.model import (
     TargetConfiguration,
     validate_scenario,
 )
+from shapeform.utility import module_spot_utility
 
 from conftest import (
     config_from_edges,
@@ -318,3 +326,114 @@ def test_selections_stay_injective(scenario):
         selectors = list(state.selections.values())
         assert len(set(selectors)) == len(selectors)
     assert set(state.selections) <= set(index.spot_by_id)
+
+
+def test_select_taken_spot_raises():
+    state = AllocationState()
+    state.select(0, 1, SINGLETON)
+    with pytest.raises(AllocationError, match="spot 0"):
+        state.select(0, 2, SINGLETON)
+    assert state.selections == {0: 1}
+
+
+def test_select_by_placed_module_raises():
+    state = AllocationState()
+    state.select(0, 1, SINGLETON)
+    with pytest.raises(AllocationError, match="module 1"):
+        state.select(2, 1, SINGLETON)
+    assert state.selections == {0: 1}
+
+
+def test_evicting_a_block_member_raises():
+    scenario = three_singletons()
+    ctx = seeded_context(scenario, {0: {0: 10.0, 1: 2.0, 2: 0.0},
+                                    1: {0: 1.0, 1: 9.0, 2: 9.0}})
+    state = AllocationState()
+    state.select(0, 1, BLOCK_MEMBER)
+    with pytest.raises(AllocationError, match="module 1"):
+        evict(0, 1, 0, state, ctx, [])
+
+
+def brute_best(utility, spot_ids, excluded):
+    eligible = [s for s in spot_ids if not excluded(s)]
+    return max(eligible, key=lambda s: (utility(s), -s)) if eligible else None
+
+
+def brute_order(utility, spot_ids):
+    return sorted(spot_ids, key=lambda s: (-utility(s), s))
+
+
+@st.composite
+def partial_states(draw):
+    """A mixed scenario and a partial allocation: random modules, block
+    members among them, sit on random spots, so that some disconnected
+    configuration members have placed link partners."""
+    n = draw(st.integers(min_value=6, max_value=24))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    scenario = generate_scenario(GenParams(n_spots=n, seed=seed, config_size_range=(2, 6)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 16)))
+    modules = [m.id for m in scenario.modules]
+    spots = [s.id for s in scenario.target.spots]
+    rng.shuffle(modules)
+    rng.shuffle(spots)
+    state = AllocationState()
+    for module_id, spot_id in zip(modules[:rng.randint(0, n)], spots):
+        state.select(spot_id, module_id, rng.choice([SINGLETON, BLOCK_MEMBER]))
+    contested = {m.id: rng.choice(spots) for m in scenario.modules}
+    return scenario, state, contested
+
+
+@settings(max_examples=80)
+@given(partial_states())
+def test_best_spot_and_order_match_full_scan(drawn):
+    scenario, state, contested = drawn
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext.build(index, spot_values(scenario.target))
+    for module in scenario.modules:
+        def utility(s, module=module):
+            return module_spot_utility(module, index.spot_by_id[s], ctx.values, index,
+                                       state, index.cost_params)
+
+        def excluded(s, c=contested[module.id]):
+            return s == c or state.selector_kind.get(state.selector_of(s)) == BLOCK_MEMBER
+
+        spot_ids = index.sorted_spot_ids()
+        assert ctx.best_spot(module.id, state, excluded) == \
+            brute_best(utility, spot_ids, excluded)
+        assert ctx.preference_order(module.id, state) == brute_order(utility, spot_ids)
+
+
+def test_best_spot_ties_go_to_lower_id_in_seeded_tables():
+    scenario = three_singletons()
+    ctx = seeded_context(scenario, {0: {0: 5.0, 1: 5.0, 2: 5.0},
+                                    1: {0: 1.0, 1: 7.0, 2: 7.0}})
+    state = AllocationState()
+    assert ctx.preference_order(0, state) == [0, 1, 2]
+    assert ctx.preference_order(1, state) == [1, 2, 0]
+    assert ctx.best_spot(0, state, lambda s: False) == 0
+    assert ctx.best_spot(0, state, lambda s: s == 0) == 1
+    assert ctx.best_spot(1, state, lambda s: s == 1) == 2
+    assert ctx.best_spot(1, state, lambda s: True) is None
+
+
+def test_rescored_spot_ties_with_fixed_spot():
+    # free docking makes a spot next to a placed partner score exactly what
+    # its mirror image scores from the fixed table; the lower id must win
+    target = path_target(5)
+    modules = (Module(0, Pose(2.0, 1.0), config_id=0),
+               Module(1, Pose(4.0, 1.0), config_id=0))
+    config = config_from_edges((0, 1), [(0, 1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # c_dock <= c_undock
+        scenario = validate_scenario(Scenario(
+            modules=modules, configurations=(config,), target=target,
+            cost_params=CostParams(c_dock=0.0, c_undock=0.0)))
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext.build(index, spot_values(target))
+    state = AllocationState()
+    state.select(4, 1, BLOCK_MEMBER)  # partner next to spot 3 only
+    assert ctx.utility(0, 1, state) == ctx.utility(0, 3, state)
+    assert ctx.best_spot(0, state, lambda s: s == 2) == 1
+    order = ctx.preference_order(0, state)
+    assert order == brute_order(lambda s: ctx.utility(0, s, state), index.sorted_spot_ids())
+    assert order.index(1) < order.index(3)

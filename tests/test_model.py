@@ -123,6 +123,15 @@ def test_cost_param_warning():
         validate_scenario(scenario)
 
 
+@pytest.mark.parametrize("field", ["alpha_loc", "c_dock", "c_undock"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_cost_params_rejected(field, value):
+    scenario = make_scenario((Module(0, Pose(0, 0)),), target=path_target(1),
+                             cost_params=CostParams(**{field: value}))
+    with pytest.raises(ScenarioError, match=field):
+        validate_scenario(scenario)
+
+
 def test_leader_rule_centroid_then_lowest_id():
     members = [Module(5, Pose(0.0, 0.0)), Module(2, Pose(1.0, 0.0)),
                Module(9, Pose(2.0, 0.0))]
