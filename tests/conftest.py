@@ -15,6 +15,7 @@ from shapeform.model import (
     Scenario,
     Spot,
     TargetConfiguration,
+    choose_leader,
     normalize_edge,
     validate_scenario,
 )
@@ -95,6 +96,28 @@ def singleton_scenario(positions, target, seed=0, cost_params=None,
         modules=modules, configurations=(), target=target,
         cost_params=cost_params or CostParams(),
         algo_params=algo_params or AlgoParams(), seed=seed))
+
+
+def chain_scenario(n: int, row: int = 10, seed: int = 0) -> Scenario:
+    """One ``n``-module chain block and a path target of ``n`` spots, both
+    laid out as a serpentine of ``row`` cells per row; the chain waits
+    below the target at a seeded offset."""
+    rng = random.Random(seed)
+    cells = []
+    for i in range(n):
+        r, c = divmod(i, row)
+        cells.append((c if r % 2 == 0 else row - 1 - c, r))
+    spots = tuple(Spot(id=i, pose=Pose(x, y + n // row + 2),
+                       neighbor_ids=frozenset(j for j in (i - 1, i + 1) if 0 <= j < n))
+                  for i, (x, y) in enumerate(cells))
+    ax, ay = rng.uniform(0.0, 4.0), rng.uniform(-2.0, 0.0)
+    modules = tuple(Module(id=i, pose=Pose(ax + x, ay - y), config_id=0)
+                    for i, (x, y) in enumerate(cells))
+    chain = Configuration(id=0, member_ids=tuple(range(n)),
+                          edges=frozenset((i, i + 1) for i in range(n - 1)),
+                          leader_id=choose_leader(modules))
+    return validate_scenario(Scenario(modules=modules, configurations=(chain,),
+                                      target=TargetConfiguration(spots=spots), seed=seed))
 
 
 @st.composite

@@ -25,6 +25,8 @@ from shapeform.model import AlgoParams
 from shapeform.scenario_io import load_scenario
 from shapeform.simulate import run_scenario
 
+from conftest import chain_scenario
+
 GOLDEN_FILE = Path(__file__).parent / "golden" / "digests.json"
 CASE_DIR = Path(__file__).resolve().parent.parent / "cases"
 
@@ -43,6 +45,12 @@ GENERATED = {
     "singletons60-seed7": GenParams(n_spots=60, singletons_only=True, seed=7),
     "equal10-100-seed8": GenParams(n_spots=100, equal_config_size=10, seed=8),
     "equal10-100-seed9": GenParams(n_spots=100, equal_config_size=10, seed=9),
+    # large blocks that fall back to maximum common subtree embeddings
+    "equal25-100-seed15": GenParams(n_spots=100, equal_config_size=25, seed=15),
+    "equal50-100-seed13": GenParams(n_spots=100, equal_config_size=50, seed=13),
+    # degree-4 spots and a degree-4 configuration: slot width 4
+    "mixed60-degree4-seed16": GenParams(n_spots=60, seed=16,
+                                        algo_params=AlgoParams(max_degree=4)),
     **{f"mixed60-dmax{d}-seed10": GenParams(n_spots=60, seed=10,
                                             algo_params=AlgoParams(max_eviction_depth=d))
        for d in (0, 3, 8)},
@@ -53,15 +61,22 @@ GENERATED = {
 }
 
 
+BUILT = {
+    "chain60-seed17": lambda: chain_scenario(60, seed=17),
+}
+
+
 def golden_scenario(name: str):
     if name in GENERATED:
         return generate_scenario(GENERATED[name])
+    if name in BUILT:
+        return BUILT[name]()
     return load_scenario(CASE_DIR / name)
 
 
 def scenario_names() -> list[str]:
     cases = sorted(p.name for p in CASE_DIR.glob("*.json") if p.name != "expectations.json")
-    return cases + sorted(GENERATED)
+    return cases + sorted(GENERATED) + sorted(BUILT)
 
 
 def digests(result) -> dict[str, str]:
