@@ -5,20 +5,36 @@ connected modules land on adjacent spots.  When no full embedding exists
 the engine falls back to maximum common subtree embeddings: the largest
 connected piece of the configuration that fits somewhere in the target.
 
-Both cases run on one memoized rooted-matching recursion: ``best`` gives
-the largest common rooted subtree for a (module, spot) root pair, and the
-enumerator walks only branches that the memo table says can reach the
-requested size, so it never dead-ends.  Search starts from target spots
-in descending value order and stops as soon as the embedding cap is hit.
+Both cases read one integer table.  Every target state -- a spot entered
+from a neighbour, ``(u, pu)``, or a spot taken as root, ``(u, None)`` --
+gets a number, and a ``slots`` array lists each state's child states,
+padded with a sentinel state worth 0.  Each configuration state
+``(c, pc)`` (a module entered from a neighbour, or a root module) holds
+one int array over all target states: the size of the largest common
+rooted subtree that maps c onto that state's spot.  The arrays are built
+bottom-up from an explicit stack, children first; matching children to
+slots is a bitmask DP over slot positions, run for all target states in
+one numpy pass per child.  The DP is exact for any degree cap, and its
+values are integers, so no tie can flip.
+
+The enumerator walks only branches that the table says can reach the
+requested size, so it never dead-ends, and it runs from an explicit
+stack, so a long chain meets no recursion limit.  Search starts from
+target spots in descending value order and stops as soon as the
+embedding cap is hit.  A full embedding contains the smallest module id,
+and the enumerator only emits mappings whose smallest module is the
+root, so full-embedding search is rooted at that module alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, TYPE_CHECKING
+from typing import Iterable, Mapping, Optional, TYPE_CHECKING
+
+import numpy as np
 
 from .model import Configuration, ScenarioIndex, TargetConfiguration
-from .utility import block_utility
+from .utility import EmbeddingError, block_utility
 
 if TYPE_CHECKING:
     from .allocation import AllocationState
@@ -46,17 +62,19 @@ class Embedding:
         return frozenset(self.mapping.items())
 
 
-def _assert_valid(mapping: Mapping[int, int],
-                  config_adj: Mapping[int, frozenset[int]],
-                  target_adj: Mapping[int, frozenset[int]]) -> None:
-    assert len(set(mapping.values())) == len(mapping), "embedding not injective"
+def check_embedding(mapping: Mapping[int, int],
+                    config_adj: Mapping[int, Iterable[int]],
+                    target_adj: Mapping[int, Iterable[int]]) -> None:
+    """Raise ``EmbeddingError`` unless ``mapping`` is injective, preserves
+    every configuration edge between mapped modules and maps a connected
+    piece of the configuration."""
+    if len(set(mapping.values())) != len(mapping):
+        raise EmbeddingError("embedding not injective")
     mapped = set(mapping)
     for a in mapped:
         for b in config_adj[a]:
-            if b in mapped:
-                assert mapping[b] in target_adj[mapping[a]], \
-                    f"edge ({a}, {b}) not preserved"
-    # mapped set must be connected within the configuration
+            if b in mapped and mapping[b] not in target_adj[mapping[a]]:
+                raise EmbeddingError(f"edge ({a}, {b}) not preserved")
     if mapped:
         stack = [next(iter(mapped))]
         seen = set(stack)
@@ -66,25 +84,19 @@ def _assert_valid(mapping: Mapping[int, int],
                 if w in mapped and w not in seen:
                     seen.add(w)
                     stack.append(w)
-        assert seen == mapped, "mapped modules not connected"
-
-
-def _assign_max(weights: list[list[int]], i: int, used: int) -> int:
-    """Best total over injective partial assignments of children to slots."""
-    if i == len(weights):
-        return 0
-    best = _assign_max(weights, i + 1, used)  # leave child i unmapped
-    for j, w in enumerate(weights[i]):
-        if used & (1 << j):
-            continue
-        got = w + _assign_max(weights, i + 1, used | (1 << j))
-        if got > best:
-            best = got
-    return best
+        if seen != mapped:
+            raise EmbeddingError("mapped modules not connected")
 
 
 class _PairSearch:
-    """Shared memo over rooted (module, spot) states for one config/target pair."""
+    """Table of rooted common-subtree sizes and memo of enumerated mappings
+    for one configuration/target pair.
+
+    A target state is a spot entered from a neighbour, ``(u, pu)``, or a
+    spot taken as root, ``(u, None)``; every state has a number, and row i
+    of ``_slots`` lists the states of i's children (its other neighbours,
+    entered from it), padded with a sentinel state whose value is 0.
+    """
 
     def __init__(self, config: Configuration, target: TargetConfiguration,
                  values: Mapping[int, float]):
@@ -93,28 +105,76 @@ class _PairSearch:
         self.module_order = sorted(config.member_ids)
         # target roots visited in descending value, ties by lower spot id
         self.spot_order = sorted(self.target_adj, key=lambda s: (-values.get(s, 0.0), s))
-        self._best: dict[tuple, int] = {}
+        self._state: dict[tuple[int, Optional[int]], int] = {}
+        for u, ns in self.target_adj.items():
+            for pu in (None, *ns):
+                self._state[(u, pu)] = len(self._state)
+        sentinel = len(self._state)
+        self._width = max(map(len, self.target_adj.values()))
+        rows = [[self._state[(y, u)] for y in self.target_adj[u] if y != pu]
+                for u, pu in self._state]
+        rows.append([])
+        self._slots = np.array([row + [sentinel] * (self._width - len(row)) for row in rows],
+                               dtype=np.intp)
+        self._roots = np.array([self._state[(u, None)] for u in self.target_adj])
+        # views of a (2,) * width mask array: masks with and without slot j
+        self._with_without = [((slice(None),) * j + (1,), (slice(None),) * j + (0,))
+                              for j in range(self._width)]
+        # configuration state (c, pc) -> best size at every target state,
+        # as an array for the DP and as a list for lookups
+        self._table: dict[tuple[int, Optional[int]], np.ndarray] = {}
+        self._value: dict[tuple[int, Optional[int]], list[int]] = {}
         # state -> (cap used, list was complete, mappings); prefixes of the
         # canonical enumeration order, safe to reuse for any smaller cap
         self._enum: dict[tuple, tuple[int, bool, list[dict[int, int]]]] = {}
 
+    def _build(self, c: int, pc: Optional[int]) -> list[int]:
+        """Fill the table of configuration state (c, pc) and of every state
+        below it, children first, from an explicit stack."""
+        stack = [(c, pc)]
+        while stack:
+            key = stack[-1]
+            if key in self._table:
+                stack.pop()
+                continue
+            x, px = key
+            below = [(y, x) for y in self.config_adj[x] if y != px]
+            missing = [k for k in below if k not in self._table]
+            if missing:
+                stack.extend(missing)
+                continue
+            stack.pop()
+            table = self._match(below)
+            self._table[key] = table
+            self._value[key] = table.tolist()
+        return self._value[(c, pc)]
+
+    def _match(self, below: list[tuple[int, int]]) -> np.ndarray:
+        """One plus the best injective assignment of the child states
+        ``below`` to child slots, at every target state at once.
+
+        ``dp[mask]`` is the best total of the children seen so far placed
+        on distinct slots inside ``mask``; a child either stays out or
+        takes one slot j of the mask, on top of the best without j.
+        """
+        dp = np.zeros((2,) * self._width + (len(self._slots),), dtype=np.int64)
+        for child in below:
+            gain = self._table[child][self._slots]
+            merged = dp.copy()
+            for j, (with_j, without_j) in enumerate(self._with_without):
+                np.maximum(merged[with_j], dp[without_j] + gain[:, j], out=merged[with_j])
+            dp = merged
+        table = dp[(1,) * self._width] + 1
+        table[-1] = 0  # the sentinel
+        return table
+
     def best(self, c: int, pc: Optional[int], u: int, pu: Optional[int]) -> int:
         """Max size of a common rooted subtree mapping c -> u, entered from
         (pc, pu)."""
-        key = (c, pc, u, pu)
-        cached = self._best.get(key)
-        if cached is not None:
-            return cached
-        self._best[key] = 1  # cycle-safe placeholder; trees never revisit
-        children = [x for x in self.config_adj[c] if x != pc]
-        slots = [y for y in self.target_adj[u] if y != pu]
-        if children and slots:
-            weights = [[self.best(ci, c, uj, u) for uj in slots] for ci in children]
-            result = 1 + _assign_max(weights, 0, 0)
-        else:
-            result = 1
-        self._best[key] = result
-        return result
+        value = self._value.get((c, pc))
+        if value is None:
+            value = self._build(c, pc)
+        return value[self._state[(u, pu)]]
 
     def enumerate(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
                   size: int, floor: int = -1, cap: int = 1 << 30) -> list[dict[int, int]]:
@@ -126,8 +186,31 @@ class _PairSearch:
         module with ``floor`` set to its own id makes it the minimum of every
         mapping it emits, so no mapping is ever produced twice across roots.
         Results are memoized; a stored list is reusable when it was computed
-        with at least the requested cap or ran to completion.
+        with at least the requested cap or ran to completion.  Each state
+        that needs a search runs as a generator on an explicit stack and
+        yields the sub-enumerations it needs, so depth costs no recursion.
         """
+        request = (c, pc, u, pu, size, floor, cap)
+        known = self._known(*request)
+        if known is not None:
+            return known
+        stack = [self._search(*request)]
+        result = None
+        while stack:
+            try:
+                request = stack[-1].send(result)
+            except StopIteration as done:
+                stack.pop()
+                result = done.value
+            else:
+                stack.append(self._search(*request))
+                result = None
+        return result
+
+    def _known(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
+               size: int, floor: int, cap: int) -> Optional[list[dict[int, int]]]:
+        """The mappings of a state that needs no search (out of reach,
+        memoized or a single module), else None."""
         if size < 1 or size > self.best(c, pc, u, pu):
             return []
         state = (c, pc, u, pu, size, floor)
@@ -140,6 +223,12 @@ class _PairSearch:
             out = [{c: u}]
             self._enum[state] = (cap, True, out)
             return out
+        return None
+
+    def _search(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
+                size: int, floor: int, cap: int):
+        """Generator behind ``enumerate``: yields each sub-enumeration
+        request, receives its mappings and returns this state's mappings."""
         children = [x for x in self.config_adj[c] if x != pc and x >= floor]
         slots = [y for y in self.target_adj[u] if y != pu]
         caps = [[self.best(ci, c, uj, u) for uj in slots] for ci in children]
@@ -148,7 +237,7 @@ class _PairSearch:
             suffix[i] = suffix[i + 1] + (max(caps[i]) if slots else 0)
         split_memo: dict[tuple[int, int, int], list[dict[int, int]]] = {}
 
-        def splits(i: int, remaining: int, used: int) -> list[dict[int, int]]:
+        def splits(i: int, remaining: int, used: int):
             if remaining > suffix[i]:
                 return []
             if i == len(children):
@@ -157,7 +246,7 @@ class _PairSearch:
             cached = split_memo.get(key)
             if cached is not None:
                 return cached
-            res = list(splits(i + 1, remaining, used))  # child i stays behind
+            res = list((yield from splits(i + 1, remaining, used)))  # child i stays behind
             ci = children[i]
             for j, uj in enumerate(slots):
                 if len(res) >= cap:
@@ -167,10 +256,14 @@ class _PairSearch:
                 hi = min(caps[i][j], remaining)
                 lo = max(1, remaining - suffix[i + 1])
                 for s in range(hi, lo - 1, -1):
-                    rests = splits(i + 1, remaining - s, used | (1 << j))
+                    rests = yield from splits(i + 1, remaining - s, used | (1 << j))
                     if not rests:
                         continue
-                    for head in self.enumerate(ci, c, uj, u, s, floor, cap):
+                    request = (ci, c, uj, u, s, floor, cap)
+                    heads = self._known(*request)
+                    if heads is None:
+                        heads = yield request
+                    for head in heads:
                         for rest in rests:
                             res.append({**head, **rest})
                             if len(res) >= cap:
@@ -183,21 +276,15 @@ class _PairSearch:
             split_memo[key] = res
             return res
 
-        out = [{**part, c: u} for part in splits(0, size - 1, 0)]
-        self._enum[state] = (cap, len(out) < cap, out)
+        out = [{**part, c: u} for part in (yield from splits(0, size - 1, 0))]
+        self._enum[(c, pc, u, pu, size, floor)] = (cap, len(out) < cap, out)
         return out
 
     def max_common_size(self) -> int:
-        cap = min(len(self.module_order), len(self.spot_order))
-        k_max = 0
-        for u in self.spot_order:
-            for m in self.module_order:
-                k = self.best(m, None, u, None)
-                if k > k_max:
-                    k_max = k
-                    if k_max == cap:
-                        return k_max
-        return k_max
+        """Size of the largest common subtree over every (module, spot) root."""
+        for m in self.module_order:
+            self._build(m, None)
+        return max(int(self._table[(m, None)][self._roots].max()) for m in self.module_order)
 
     def collect(self, size: int, kind: str, limit: int) -> list[Embedding]:
         """Gather up to ``limit`` distinct embeddings of the given size,
@@ -205,11 +292,15 @@ class _PairSearch:
         descending value order, every module serving as root in turn, so a
         capped collection concentrates on the most valuable region first;
         with a large enough limit every embedding is produced exactly once.
+
+        A full embedding is rooted at the smallest module id only: every
+        other root's ``floor`` excludes that module, so it cannot emit one.
         """
+        roots = self.module_order[:1] if size == len(self.module_order) else self.module_order
         out: list[Embedding] = []
         seen: set[frozenset] = set()
         for u in self.spot_order:
-            for m in self.module_order:
+            for m in roots:
                 if self.best(m, None, u, None) < size:
                     continue
                 for mapping in self.enumerate(m, None, u, None, size, floor=m, cap=limit):
@@ -217,7 +308,7 @@ class _PairSearch:
                     if key in seen:
                         continue
                     seen.add(key)
-                    _assert_valid(mapping, self.config_adj, self.target_adj)
+                    check_embedding(mapping, self.config_adj, self.target_adj)
                     out.append(Embedding(mapping=mapping, kind=kind))
                     if len(out) >= limit:
                         return out

@@ -18,6 +18,14 @@ if TYPE_CHECKING:
     from .allocation import AllocationState
 
 
+class EmbeddingError(ValueError):
+    """A mapping is not an injective, edge-preserving, connected embedding."""
+
+
+class BlockSizeError(ValueError):
+    """A block size outside 1..total module count."""
+
+
 def locomotion_cost(start: Pose, goal: Pose, params: CostParams) -> float:
     """alpha_loc times the planar distance; orientation plays no part."""
     return params.alpha_loc * planar_distance(start, goal)
@@ -26,7 +34,8 @@ def locomotion_cost(start: Pose, goal: Pose, params: CostParams) -> float:
 def retention_reward(block_size: int, total_modules: int) -> float:
     """Reward for keeping a block of the given size connected,
     (size - 2) / total module count."""
-    assert block_size >= 1 and total_modules >= block_size
+    if not 1 <= block_size <= total_modules:
+        raise BlockSizeError(f"block size {block_size} outside 1..{total_modules}")
     return (block_size - 2) / total_modules
 
 
@@ -94,7 +103,8 @@ def module_spot_utility(module: Module, spot: Spot, values: Mapping[int, float],
 def block_cost(mapping: Mapping[int, int], index: ScenarioIndex,
                state: Optional["AllocationState"], params: CostParams) -> float:
     """Summed member costs minus the retention reward for the block size."""
-    assert len(set(mapping.values())) == len(mapping), "block mapping must be injective"
+    if len(set(mapping.values())) != len(mapping):
+        raise EmbeddingError("block mapping must be injective")
     total = 0.0
     for module_id, spot_id in mapping.items():
         total += module_spot_cost(index.module_by_id[module_id], index.spot_by_id[spot_id],

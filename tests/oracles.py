@@ -112,6 +112,35 @@ def brute_mcs_size(config_adj: dict[int, set[int]],
     return 0
 
 
+def _assign_max(weights: list[list[int]], i: int, used: int) -> int:
+    """Best total over injective partial assignments of children to slots."""
+    if i == len(weights):
+        return 0
+    best = _assign_max(weights, i + 1, used)  # leave child i unmapped
+    for j, w in enumerate(weights[i]):
+        if used & (1 << j):
+            continue
+        got = w + _assign_max(weights, i + 1, used | (1 << j))
+        if got > best:
+            best = got
+    return best
+
+
+def recursive_best(config_adj: dict[int, set[int]], target_adj: dict[int, set[int]],
+                   c: int, pc, u: int, pu, memo: dict) -> int:
+    """Max size of a common rooted subtree mapping c -> u, with c entered
+    from pc and u from pu (None for a root), by memoized recursion and an
+    exhaustive child-to-slot search."""
+    key = (c, pc, u, pu)
+    if key not in memo:
+        children = sorted(x for x in config_adj[c] if x != pc)
+        slots = sorted(y for y in target_adj[u] if y != pu)
+        weights = [[recursive_best(config_adj, target_adj, ci, c, uj, u, memo)
+                    for uj in slots] for ci in children]
+        memo[key] = 1 + _assign_max(weights, 0, 0)
+    return memo[key]
+
+
 def brute_optimal_assignment(matrix) -> tuple[dict[int, int], float]:
     """Best injective row->column assignment by permutation search."""
     n_rows = len(matrix)

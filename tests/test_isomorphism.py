@@ -1,11 +1,15 @@
+import sys
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from shapeform.isomorphism import (
     DegenerateInputError,
     FULL,
     MCS,
+    _PairSearch,
     best_embeddings,
+    check_embedding,
     enumerate_full_embeddings,
     enumerate_mcs_embeddings,
     order_embeddings,
@@ -20,15 +24,18 @@ from shapeform.model import (
     TargetConfiguration,
     validate_scenario,
 )
+from shapeform.simulate import run_scenario
+from shapeform.utility import EmbeddingError
 
 from conftest import (
     adjacency,
+    chain_scenario,
     config_from_edges,
     path_target,
     random_trees,
     target_from_edges,
 )
-from oracles import brute_full_embeddings, brute_mcs_size, is_edge_preserving
+from oracles import brute_full_embeddings, brute_mcs_size, is_edge_preserving, recursive_best
 
 UNBOUNDED = 10 ** 9
 
@@ -128,9 +135,7 @@ def test_full_embeddings_match_brute_force(config_tree, target_tree):
     assert len(found) == len(got)  # no duplicates
 
 
-@settings(max_examples=40)
-@given(random_trees(min_nodes=1, max_nodes=7), random_trees(min_nodes=1, max_nodes=7))
-def test_mcs_size_matches_brute_force(config_tree, target_tree):
+def assert_mcs_size_matches_brute_force(config_tree, target_tree):
     cn, config_edges = config_tree
     tn, target_edges = target_tree
     config = config_from_edges(range(cn), config_edges)
@@ -140,6 +145,82 @@ def test_mcs_size_matches_brute_force(config_tree, target_tree):
     assert found
     assert found[0].size == expected
     assert len({e.size for e in found}) == 1
+
+
+@settings(max_examples=40)
+@given(random_trees(min_nodes=1, max_nodes=7), random_trees(min_nodes=1, max_nodes=7))
+def test_mcs_size_matches_brute_force(config_tree, target_tree):
+    assert_mcs_size_matches_brute_force(config_tree, target_tree)
+
+
+@settings(max_examples=40)
+@given(random_trees(min_nodes=1, max_nodes=7, max_degree=4),
+       random_trees(min_nodes=1, max_nodes=7, max_degree=4))
+def test_mcs_size_matches_brute_force_degree4(config_tree, target_tree):
+    assert_mcs_size_matches_brute_force(config_tree, target_tree)
+
+
+@st.composite
+def wide_trees(draw):
+    degree = draw(st.integers(min_value=2, max_value=5))
+    return draw(random_trees(min_nodes=1, max_nodes=10, max_degree=degree))
+
+
+STAR6 = (6, [(0, i) for i in range(1, 6)])
+PATH6 = (6, [(i - 1, i) for i in range(1, 6)])
+
+
+@given(wide_trees(), wide_trees())
+@example(STAR6, PATH6)  # configuration wider than the target
+@example(PATH6, STAR6)  # target wider than the configuration
+def test_table_matches_recursive_reference(config_tree, target_tree):
+    cn, config_edges = config_tree
+    tn, target_edges = target_tree
+    config = config_from_edges(range(cn), config_edges)
+    target = target_from_edges(tn, target_edges)
+    config_adj = adjacency(cn, config_edges)
+    target_adj = adjacency(tn, target_edges)
+    search = _PairSearch(config, target, values_for(target))
+    config_states = [(c, p) for c in config_adj for p in (None, *config_adj[c])]
+    target_states = [(u, p) for u in target_adj for p in (None, *target_adj[u])]
+    memo = {}
+    for c, pc in config_states:
+        for u, pu in target_states:
+            assert search.best(c, pc, u, pu) == \
+                recursive_best(config_adj, target_adj, c, pc, u, pu, memo)
+
+
+def test_600_chain_plans_at_default_recursion_limit():
+    scenario = chain_scenario(600)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        result = run_scenario(scenario)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result.complete
+    assert len(result.allocation) == 600
+
+
+def test_check_embedding_rejects_non_injective_mapping():
+    config_adj = adjacency(3, [(0, 1), (1, 2)])
+    target_adj = adjacency(3, [(0, 1), (1, 2)])
+    with pytest.raises(EmbeddingError, match="injective"):
+        check_embedding({0: 0, 1: 1, 2: 0}, config_adj, target_adj)
+
+
+def test_check_embedding_rejects_broken_edge():
+    config_adj = adjacency(2, [(0, 1)])
+    target_adj = adjacency(3, [(0, 1), (1, 2)])
+    with pytest.raises(EmbeddingError, match="not preserved"):
+        check_embedding({0: 0, 1: 2}, config_adj, target_adj)
+
+
+def test_check_embedding_rejects_disconnected_piece():
+    config_adj = adjacency(3, [(0, 1), (1, 2)])
+    target_adj = adjacency(3, [(0, 1), (1, 2)])
+    with pytest.raises(EmbeddingError, match="not connected"):
+        check_embedding({0: 0, 2: 2}, config_adj, target_adj)
 
 
 @given(random_trees(min_nodes=2, max_nodes=7), random_trees(min_nodes=2, max_nodes=7))

@@ -18,6 +18,8 @@ from shapeform.model import (
     validate_scenario,
 )
 from shapeform.utility import (
+    BlockSizeError,
+    EmbeddingError,
     block_cost,
     block_utility,
     locomotion_cost,
@@ -125,6 +127,18 @@ def test_block_cost_two_members():
 def test_block_cost_three_members():
     index, mapping = _block_fixture(3, total_modules=10)
     assert block_cost(mapping, index, None, DEFAULTS) == pytest.approx(15.0 - 0.1)
+
+
+def test_block_cost_rejects_non_injective_mapping():
+    index, _ = _block_fixture(3, total_modules=10)
+    with pytest.raises(EmbeddingError, match="injective"):
+        block_cost({0: 0, 1: 1, 2: 1}, index, None, DEFAULTS)
+
+
+@pytest.mark.parametrize("size, total", [(0, 10), (11, 10)])
+def test_retention_reward_rejects_size_outside_range(size, total):
+    with pytest.raises(BlockSizeError):
+        retention_reward(size, total)
 
 
 def test_module_spot_utility_examples():
