@@ -2,8 +2,9 @@
 
 Everything here recomputes results from first principles (path
 enumeration, exhaustive injective maps, permutation search, a literal
-transcription of the selection rules) and shares no code with the
-engine's own algorithms.
+transcription of the selection rules, the memoized recursion the
+embedding table replaced) and shares no code with the engine's own
+algorithms.
 """
 
 from __future__ import annotations
