@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional
 from .isomorphism import Embedding, MCS, best_embeddings, order_embeddings
 from .metrics import target_center
 from .model import ScenarioIndex, Spot, TargetConfiguration
-from .utility import module_spot_utility
+from .utility import module_spot_utility, preserved_links
 
 SINGLETON = "singleton"
 BLOCK_MEMBER = "block_member"
@@ -59,7 +59,6 @@ class AllocationState:
         self.selector_kind: dict[int, str] = {}
         self.disconnections: list[DisconnectionRecord] = []
         self.event_log: list[AllocationEvent] = []
-        self.on_event: Optional[Callable[[], None]] = None
 
     def selector_of(self, spot_id: int) -> Optional[int]:
         return self.selections.get(spot_id)
@@ -85,8 +84,6 @@ class AllocationState:
     def log(self, actor: str, event_type: str, payload: Mapping) -> None:
         self.event_log.append(AllocationEvent(tick=len(self.event_log), actor=actor,
                                               event_type=event_type, payload=payload))
-        if self.on_event is not None:
-            self.on_event()
 
 
 @dataclass(frozen=True)
@@ -122,21 +119,17 @@ class PlanContext:
         if not self.index.module_links[module_id]:
             return self._table(module_id)[spot_id]
         return module_spot_utility(self.index.module_by_id[module_id],
-                                   self.index.spot_by_id[spot_id],
-                                   self.values, self.index, state,
-                                   self.index.cost_params)
+                                   self.index.spot_by_id[spot_id], self.values, self.index,
+                                   preserved_links(module_id, spot_id, self.index,
+                                                   state.spot_of))
 
     def _table(self, module_id: int) -> dict[int, float]:
         """State-free utility of every spot for the module."""
         table = self._fixed_utility.get(module_id)
         if table is None:
             module = self.index.module_by_id[module_id]
-            params = self.index.cost_params
-            table = {
-                spot.id: module_spot_utility(module, spot, self.values, self.index,
-                                             None, params)
-                for spot in self.index.spot_by_id.values()
-            }
+            table = {spot.id: module_spot_utility(module, spot, self.values, self.index)
+                     for spot in self.index.spot_by_id.values()}
             self._fixed_utility[module_id] = table
         return table
 
@@ -357,7 +350,7 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
             spot_allocation(module_id, state, ctx)
         return BlockResult(config_id=config_id, embedding=None, placed={},
                            disconnected=tuple(order), evicted=())
-    ordered = order_embeddings(embeddings, ctx.values, index, state)
+    ordered = order_embeddings(embeddings, ctx.values, index)
 
     def conflicts(embedding: Embedding) -> list[tuple[int, int]]:
         # (spot, member) pairs whose spot somebody else holds, in spot order

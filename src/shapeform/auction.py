@@ -16,7 +16,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .model import ScenarioIndex, planar_distance
+from .model import ScenarioIndex
+from .utility import module_spot_utility
 
 
 class NonTerminationError(RuntimeError):
@@ -45,19 +46,16 @@ def default_epsilon(utilities: np.ndarray, n_spots: int) -> float:
 
 def singleton_utility_matrix(index: ScenarioIndex,
                              values: Mapping[int, float]) -> tuple[list[int], list[int], np.ndarray]:
-    """Utility of every module for every spot with all modules treated as
-    singletons: spot value minus locomotion minus full docking at the spot."""
-    params = index.cost_params
+    """Utility of every module for every spot with no link preserved: the
+    planner's state-free utility, which for a singleton is spot value minus
+    locomotion minus full docking at the spot."""
     module_ids = sorted(index.module_by_id)
     spot_ids = sorted(index.spot_by_id)
     matrix = np.empty((len(module_ids), len(spot_ids)))
     for i, mid in enumerate(module_ids):
-        pose = index.module_by_id[mid].pose
+        module = index.module_by_id[mid]
         for j, sid in enumerate(spot_ids):
-            spot = index.spot_by_id[sid]
-            matrix[i, j] = (values[sid]
-                            - params.alpha_loc * planar_distance(pose, spot.pose)
-                            - params.c_dock * len(spot.neighbor_ids))
+            matrix[i, j] = module_spot_utility(module, index.spot_by_id[sid], values, index)
     return module_ids, spot_ids, matrix
 
 

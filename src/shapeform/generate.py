@@ -237,7 +237,6 @@ def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
     """
     width, height = params.arena
     k = params.equal_config_size
-    assert k is not None and k >= 2
     n = params.n_spots
     n_chunks = min(n // k, params.module_count() // k)
     # window = spine segment with teeth on every interior slot and bare ends;
@@ -341,6 +340,8 @@ def generate_scenario(params: GenParams) -> Scenario:
     max_degree = params.algo_params.max_degree
     width, height = params.arena
     if params.equal_config_size is not None and not params.singletons_only:
+        if params.equal_config_size < 2:
+            raise ValueError("equal config size must be at least 2")
         return _generate_equal_sized(params, rng)
     draw_x = lambda: rng.uniform(0.0, width - 1.0)
     draw_y = lambda: rng.uniform(0.0, height - 1.0)

@@ -29,15 +29,12 @@ root, so full-embedding search is rooted at that module alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, TYPE_CHECKING
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
 from .model import Configuration, ScenarioIndex, TargetConfiguration
 from .utility import EmbeddingError, block_utility
-
-if TYPE_CHECKING:
-    from .allocation import AllocationState
 
 FULL = "full"
 MCS = "mcs"
@@ -368,14 +365,14 @@ def best_embeddings(config: Configuration, target: TargetConfiguration,
 
 
 def order_embeddings(embeddings: list[Embedding], values: Mapping[int, float],
-                     index: ScenarioIndex,
-                     state: Optional["AllocationState"]) -> list[Embedding]:
+                     index: ScenarioIndex) -> list[Embedding]:
     """Sort by block utility, highest first; ties prefer the smaller sum of
-    image spot ids (stable, so enumeration order breaks exact ties)."""
-    params = index.cost_params
+    image spot ids (stable, so enumeration order breaks exact ties).
 
-    def sort_key(e: Embedding):
-        return (-block_utility(e.mapping, values, index, state, params),
-                sum(e.mapping.values()))
-
-    return sorted(embeddings, key=sort_key)
+    Embeddings are ordered at the block's turn, before any member is placed.
+    A member's initial link partners are all members, so only partners inside
+    the mapping can preserve a link, and block utility does not depend on
+    the allocation state.
+    """
+    return sorted(embeddings, key=lambda e: (-block_utility(e.mapping, values, index),
+                                             sum(e.mapping.values())))

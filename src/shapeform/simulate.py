@@ -26,7 +26,7 @@ from .allocation import (
 )
 from .metrics import CONFIGURATION, rank_entities, spot_values
 from .model import Scenario, ScenarioIndex, planar_distance
-from .utility import module_spot_utility, retention_reward
+from .utility import module_spot_utility, preserved_links, retention_reward
 
 
 class IncompleteAllocationError(ValueError):
@@ -56,7 +56,6 @@ class PlanResult:
     acting_schedule: tuple[int, ...]
     complete: bool
     disconnections: tuple[DisconnectionRecord, ...]
-    event_times: tuple[float, ...]  # wall-clock offsets, excluded from determinism
 
 
 def _total_utility(ctx: PlanContext, state: AllocationState) -> float:
@@ -64,12 +63,11 @@ def _total_utility(ctx: PlanContext, state: AllocationState) -> float:
     the final selections, plus the retention reward of every block that kept
     at least two members together."""
     index = ctx.index
-    params = index.cost_params
     total = 0.0
     for spot_id, module_id in state.selections.items():
-        total += module_spot_utility(index.module_by_id[module_id],
-                                     index.spot_by_id[spot_id],
-                                     ctx.values, index, state, params)
+        total += module_spot_utility(index.module_by_id[module_id], index.spot_by_id[spot_id],
+                                     ctx.values, index,
+                                     preserved_links(module_id, spot_id, index, state.spot_of))
     for config in index.config_by_id.values():
         kept = sum(1 for m in config.member_ids
                    if state.spot_of(m) is not None
@@ -118,8 +116,6 @@ def run_planning(scenario: Scenario) -> PlanResult:
     index = ScenarioIndex.build(scenario)
     state = AllocationState()
     started = time.perf_counter()
-    event_times: list[float] = []
-    state.on_event = lambda: event_times.append(time.perf_counter() - started)
 
     for module in sorted(scenario.modules, key=lambda m: m.id):
         state.log(f"module:{module.id}", POSITION_BROADCAST,
@@ -133,7 +129,6 @@ def run_planning(scenario: Scenario) -> PlanResult:
         elif state.spot_of(entity.entity_id) is None:
             spot_allocation(entity.entity_id, state, ctx)
     planning_time = time.perf_counter() - started
-    state.on_event = None
 
     complete = len(state.selections) == len(scenario.target.spots)
     metrics = RunMetrics(
@@ -153,7 +148,6 @@ def run_planning(scenario: Scenario) -> PlanResult:
         acting_schedule=schedule,
         complete=complete,
         disconnections=tuple(state.disconnections),
-        event_times=tuple(event_times),
     )
 
 

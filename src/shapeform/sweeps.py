@@ -24,16 +24,14 @@ from .model import AlgoParams, CostParams, ScenarioIndex, planar_distance
 from .scenario_io import load_scenario
 from .simulate import run_planning, run_scenario
 
-SWEEP_KINDS = ("planning_time", "distance", "messages", "completion_profile",
-               "table1", "auction_compare", "mcs_time")
+SWEEP_KINDS = ("planning_time", "distance", "messages", "table1", "auction_compare",
+               "mcs_time")
 
 _COLUMNS = {
     "planning_time": ["n_modules", "planning_time_s_mean", "planning_time_s_std"],
     "distance": ["n_modules", "total_distance_units_mean", "total_distance_units_std"],
     "messages": ["n_modules", "broadcasts_mean", "broadcasts_std",
                  "point_to_point_mean", "point_to_point_std"],
-    "completion_profile": ["n_modules", "time_pct", "events_complete_pct_mean",
-                           "events_complete_pct_std"],
     "table1": ["config_size", "planning_time_s_mean", "planning_time_s_std",
                "disconnections_mean", "disconnections_std"],
     "auction_compare": ["n_modules", "algorithm", "planning_time_s_mean",
@@ -113,7 +111,6 @@ def run_sweep(kind: str, params: SweepParams = SweepParams()) -> SweepReport:
         "planning_time": _sweep_metric,
         "distance": _sweep_metric,
         "messages": _sweep_metric,
-        "completion_profile": _sweep_completion,
         "table1": _sweep_table1,
         "auction_compare": _sweep_auction,
         "mcs_time": _sweep_mcs_time,
@@ -145,30 +142,6 @@ def _sweep_metric(kind: str, params: SweepParams, report: SweepReport) -> None:
             report.rows.append((n, *_stats(distances)))
         else:
             report.rows.append((n, *_stats(broadcasts), *_stats(p2p)))
-
-
-def _sweep_completion(kind: str, params: SweepParams, report: SweepReport) -> None:
-    percents = list(range(10, 101, 10))
-    for n in params.points:
-        fractions: dict[int, list[float]] = {p: [] for p in percents}
-        for run in range(params.runs):
-            seed = _run_seed(params.seed, kind, n, run)
-            try:
-                scenario = generate_scenario(GenParams(
-                    n_spots=n, seed=seed, cost_params=params.cost_params,
-                    algo_params=params.algo_params))
-                result = run_planning(scenario)
-            except Exception as exc:  # noqa: BLE001
-                report.failures.append((n, run, repr(exc)))
-                continue
-            times = result.event_times
-            total = times[-1] if times else 0.0
-            for p in percents:
-                horizon = total * p / 100.0
-                done = sum(1 for t in times if t <= horizon)
-                fractions[p].append(100.0 * done / len(times) if times else 0.0)
-        for p in percents:
-            report.rows.append((n, p, *_stats(fractions[p])))
 
 
 def _sweep_table1(kind: str, params: SweepParams, report: SweepReport) -> None:

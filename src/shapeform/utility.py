@@ -10,12 +10,9 @@ connection-retention reward that grows with block size.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, TYPE_CHECKING
+from typing import Callable, Mapping, Optional
 
 from .model import CostParams, Module, Pose, ScenarioIndex, Spot, planar_distance
-
-if TYPE_CHECKING:
-    from .allocation import AllocationState
 
 
 class EmbeddingError(ValueError):
@@ -39,81 +36,59 @@ def retention_reward(block_size: int, total_modules: int) -> float:
     return (block_size - 2) / total_modules
 
 
-def _occupant(spot_id: int,
-              state: Optional["AllocationState"],
-              mapping_inverse: Optional[Mapping[int, int]]) -> Optional[int]:
-    if mapping_inverse is not None and spot_id in mapping_inverse:
-        return mapping_inverse[spot_id]
-    if state is not None:
-        return state.selector_of(spot_id)
-    return None
+def preserved_links(module_id: int, spot_id: int, index: ScenarioIndex,
+                    spot_of: Callable[[int], Optional[int]]) -> int:
+    """How many of the module's initial link partners sit next to the spot.
 
-
-def _placement(module_id: int,
-               state: Optional["AllocationState"],
-               mapping: Optional[Mapping[int, int]]) -> Optional[int]:
-    if mapping is not None and module_id in mapping:
-        return mapping[module_id]
-    if state is not None:
-        return state.spot_of(module_id)
-    return None
+    ``spot_of`` places partners: ``state.spot_of`` for the recorded
+    selections, ``mapping.get`` for a block scored as a whole.  Each such
+    (partner, neighbour spot) pair waives one docking charge (the neighbour
+    spot's occupant is already linked to the module) and one undocking
+    charge (the partner's link survives).  Selections and mappings are
+    injective, so no spot holds two partners and no partner holds two spots:
+    the dock waivers and the undock waivers count the same pairs, and one
+    count serves both charges.
+    """
+    neighbors = index.spot_neighbors[spot_id]
+    return sum(1 for partner in index.module_links[module_id]
+               if spot_of(partner) in neighbors)
 
 
 def module_spot_cost(module: Module, spot: Spot, index: ScenarioIndex,
-                     state: Optional["AllocationState"], params: CostParams,
-                     mapping: Optional[Mapping[int, int]] = None) -> float:
-    """Cost for ``module`` to occupy ``spot`` given the current selections.
-
-    ``mapping`` optionally supplies tentative placements for a block that is
-    being evaluated together; those take precedence over recorded selections
-    when checking which links are preserved.  Docking is charged for every
-    neighbor spot whose (eventual) occupant is not already a neighbor of the
-    module; undocking for every current link whose other end does not sit on
-    an adjacent spot.
-    """
+                     preserved: int = 0) -> float:
+    """Cost for ``module`` to occupy ``spot`` with ``preserved`` links kept
+    (see ``preserved_links``): locomotion, docking for every other spot
+    neighbour, undocking for every other initial link."""
+    params = index.cost_params
     cost = locomotion_cost(module.pose, spot.pose, params)
-    links = index.module_links[module.id]
-    mapping_inverse = None
-    if mapping is not None:
-        mapping_inverse = {s: m for m, s in mapping.items()}
-
-    dock = 0
-    for neighbor_spot in spot.neighbor_ids:
-        occupant = _occupant(neighbor_spot, state, mapping_inverse)
-        if occupant is not None and occupant in links:
-            continue  # link preserved
-        dock += 1
-    undock = 0
-    for neighbor_module in links:
-        placed_at = _placement(neighbor_module, state, mapping)
-        if placed_at is not None and placed_at in spot.neighbor_ids:
-            continue  # link preserved
-        undock += 1
+    dock = len(spot.neighbor_ids) - preserved
+    undock = len(index.module_links[module.id]) - preserved
     return cost + params.c_dock * dock + params.c_undock * undock
 
 
 def module_spot_utility(module: Module, spot: Spot, values: Mapping[int, float],
-                        index: ScenarioIndex, state: Optional["AllocationState"],
-                        params: CostParams,
-                        mapping: Optional[Mapping[int, int]] = None) -> float:
+                        index: ScenarioIndex, preserved: int = 0) -> float:
     """Spot value minus the module's cost to occupy it."""
-    return values[spot.id] - module_spot_cost(module, spot, index, state, params, mapping)
+    return values[spot.id] - module_spot_cost(module, spot, index, preserved)
 
 
-def block_cost(mapping: Mapping[int, int], index: ScenarioIndex,
-               state: Optional["AllocationState"], params: CostParams) -> float:
-    """Summed member costs minus the retention reward for the block size."""
+def block_cost(mapping: Mapping[int, int], index: ScenarioIndex) -> float:
+    """Summed member costs minus the retention reward for the block size.
+
+    A member's links are preserved only toward other members of the
+    mapping; it is scored at the block's turn, when no member is placed.
+    """
     if len(set(mapping.values())) != len(mapping):
         raise EmbeddingError("block mapping must be injective")
     total = 0.0
     for module_id, spot_id in mapping.items():
         total += module_spot_cost(index.module_by_id[module_id], index.spot_by_id[spot_id],
-                                  index, state, params, mapping)
+                                  index, preserved_links(module_id, spot_id, index,
+                                                         mapping.get))
     return total - retention_reward(len(mapping), index.n_modules)
 
 
 def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],
-                  index: ScenarioIndex, state: Optional["AllocationState"],
-                  params: CostParams) -> float:
+                  index: ScenarioIndex) -> float:
     """Summed spot values of the image minus the block cost."""
-    return sum(values[s] for s in mapping.values()) - block_cost(mapping, index, state, params)
+    return sum(values[s] for s in mapping.values()) - block_cost(mapping, index)

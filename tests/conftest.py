@@ -6,6 +6,8 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+from shapeform.allocation import BLOCK_MEMBER, SINGLETON, AllocationState
+from shapeform.generate import GenParams, generate_scenario
 from shapeform.model import (
     AlgoParams,
     Configuration,
@@ -143,6 +145,26 @@ def singleton_scenarios(draw, min_modules=1, max_modules=6, extra_modules=0):
     positions = [(rng.uniform(-8, 8), rng.uniform(-8, 8))
                  for _ in range(n + extra_modules)]
     return singleton_scenario(positions, target, seed=seed)
+
+
+@st.composite
+def partial_states(draw):
+    """A mixed scenario and a partial allocation: random modules, block
+    members among them, sit on random spots, so that some disconnected
+    configuration members have placed link partners."""
+    n = draw(st.integers(min_value=6, max_value=24))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
+    scenario = generate_scenario(GenParams(n_spots=n, seed=seed, config_size_range=(2, 6)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 16)))
+    modules = [m.id for m in scenario.modules]
+    spots = [s.id for s in scenario.target.spots]
+    rng.shuffle(modules)
+    rng.shuffle(spots)
+    state = AllocationState()
+    for module_id, spot_id in zip(modules[:rng.randint(0, n)], spots):
+        state.select(spot_id, module_id, rng.choice([SINGLETON, BLOCK_MEMBER]))
+    contested = {m.id: rng.choice(spots) for m in scenario.modules}
+    return scenario, state, contested
 
 
 @pytest.fixture

@@ -158,6 +158,48 @@ def brute_optimal_assignment(matrix) -> tuple[dict[int, int], float]:
     return best, best_total
 
 
+def reference_spot_cost(module, spot, index, state, params, mapping=None) -> float:
+    """Cost for ``module`` to occupy ``spot``, counted neighbour by neighbour.
+
+    Docking is charged for every spot neighbour whose occupant is not an
+    initial link partner of the module, undocking for every initial link
+    whose partner does not sit on an adjacent spot.  Occupants and
+    placements come from ``mapping`` (a block scored as a whole) first,
+    then from ``state``'s selections.
+    """
+    cost = params.alpha_loc * math.hypot(module.pose.x - spot.pose.x,
+                                         module.pose.y - spot.pose.y)
+    links = index.module_links[module.id]
+    mapping_inverse = {s: m for m, s in mapping.items()} if mapping is not None else {}
+
+    def occupant(spot_id):
+        if spot_id in mapping_inverse:
+            return mapping_inverse[spot_id]
+        return state.selector_of(spot_id) if state is not None else None
+
+    def placement(module_id):
+        if mapping is not None and module_id in mapping:
+            return mapping[module_id]
+        return state.spot_of(module_id) if state is not None else None
+
+    dock = sum(1 for n in spot.neighbor_ids if occupant(n) not in links)
+    undock = sum(1 for p in links if placement(p) not in spot.neighbor_ids)
+    return cost + params.c_dock * dock + params.c_undock * undock
+
+
+def reference_block_utility(mapping, values, index, state, params) -> float:
+    """Image spot values minus summed member costs (``reference_spot_cost``
+    over the mapping and ``state``) plus the retention reward
+    (size - 2) / module count."""
+    total = 0.0
+    for module_id, spot_id in mapping.items():
+        total += reference_spot_cost(index.module_by_id[module_id],
+                                     index.spot_by_id[spot_id], index, state, params,
+                                     mapping)
+    cost = total - (len(mapping) - 2) / index.n_modules
+    return sum(values[s] for s in mapping.values()) - cost
+
+
 class ReferenceSingletonPlanner:
     """Literal transcription of the singleton selection rules, for
     cross-checking the engine on singleton-only scenarios.

@@ -1,8 +1,7 @@
-import random
 import warnings
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from shapeform.allocation import (
     BLOCK_MEMBER,
@@ -17,7 +16,6 @@ from shapeform.allocation import (
     evict,
     spot_allocation,
 )
-from shapeform.generate import GenParams, generate_scenario
 from shapeform.metrics import rank_entities, spot_values
 from shapeform.model import (
     AlgoParams,
@@ -30,15 +28,14 @@ from shapeform.model import (
     TargetConfiguration,
     validate_scenario,
 )
-from shapeform.utility import module_spot_utility
-
 from conftest import (
     config_from_edges,
+    partial_states,
     path_target,
     singleton_scenario,
     singleton_scenarios,
 )
-from oracles import ReferenceSingletonPlanner
+from oracles import ReferenceSingletonPlanner, reference_spot_cost
 
 
 def seeded_context(scenario, tables):
@@ -363,26 +360,6 @@ def brute_order(utility, spot_ids):
     return sorted(spot_ids, key=lambda s: (-utility(s), s))
 
 
-@st.composite
-def partial_states(draw):
-    """A mixed scenario and a partial allocation: random modules, block
-    members among them, sit on random spots, so that some disconnected
-    configuration members have placed link partners."""
-    n = draw(st.integers(min_value=6, max_value=24))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 16))
-    scenario = generate_scenario(GenParams(n_spots=n, seed=seed, config_size_range=(2, 6)))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 16)))
-    modules = [m.id for m in scenario.modules]
-    spots = [s.id for s in scenario.target.spots]
-    rng.shuffle(modules)
-    rng.shuffle(spots)
-    state = AllocationState()
-    for module_id, spot_id in zip(modules[:rng.randint(0, n)], spots):
-        state.select(spot_id, module_id, rng.choice([SINGLETON, BLOCK_MEMBER]))
-    contested = {m.id: rng.choice(spots) for m in scenario.modules}
-    return scenario, state, contested
-
-
 @settings(max_examples=80)
 @given(partial_states())
 def test_best_spot_and_order_match_full_scan(drawn):
@@ -391,8 +368,8 @@ def test_best_spot_and_order_match_full_scan(drawn):
     ctx = PlanContext.build(index, spot_values(scenario.target))
     for module in scenario.modules:
         def utility(s, module=module):
-            return module_spot_utility(module, index.spot_by_id[s], ctx.values, index,
-                                       state, index.cost_params)
+            return ctx.values[s] - reference_spot_cost(module, index.spot_by_id[s], index,
+                                                       state, index.cost_params)
 
         def excluded(s, c=contested[module.id]):
             return s == c or state.selector_kind.get(state.selector_of(s)) == BLOCK_MEMBER

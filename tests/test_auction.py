@@ -106,10 +106,10 @@ def test_singleton_utility_matrix_shape_and_values():
     values = spot_values(scenario.target)
     module_ids, spot_ids, matrix = singleton_utility_matrix(index, values)
     assert matrix.shape == (6, 6)
-    from shapeform.utility import module_spot_utility
+    from oracles import reference_spot_cost
     for i, mid in enumerate(module_ids):
         for j, sid in enumerate(spot_ids):
-            expected = module_spot_utility(index.module_by_id[mid],
-                                           index.spot_by_id[sid], values, index,
-                                           None, scenario.cost_params)
+            expected = values[sid] - reference_spot_cost(index.module_by_id[mid],
+                                                         index.spot_by_id[sid], index,
+                                                         None, scenario.cost_params)
             assert matrix[i, j] == pytest.approx(expected)

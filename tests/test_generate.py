@@ -45,6 +45,12 @@ def test_equal_config_size_remainder_becomes_singletons():
     assert len(singles) == 10
 
 
+@pytest.mark.parametrize("size", [1, 0, -3])
+def test_equal_config_size_below_two_rejected(size):
+    with pytest.raises(ValueError, match="at least 2"):
+        generate_scenario(GenParams(n_spots=20, equal_config_size=size, seed=0))
+
+
 def test_singletons_only_mode():
     scenario = generate_scenario(GenParams(n_spots=40, singletons_only=True, seed=5))
     assert scenario.configurations == ()

@@ -272,13 +272,12 @@ def test_order_embeddings_by_utility_then_spot_sum():
     index = ScenarioIndex.build(scenario)
     values = values_for(target)
     embeddings = enumerate_full_embeddings(config, target, values, UNBOUNDED)
-    ordered = order_embeddings(embeddings, values, index, None)
+    ordered = order_embeddings(embeddings, values, index)
     from shapeform.utility import block_utility
-    utilities = [block_utility(e.mapping, values, index, None, scenario.cost_params)
-                 for e in ordered]
+    utilities = [block_utility(e.mapping, values, index) for e in ordered]
     assert utilities == sorted(utilities, reverse=True)
     for first, second in zip(ordered, ordered[1:]):
-        u1 = block_utility(first.mapping, values, index, None, scenario.cost_params)
-        u2 = block_utility(second.mapping, values, index, None, scenario.cost_params)
+        u1 = block_utility(first.mapping, values, index)
+        u2 = block_utility(second.mapping, values, index)
         if u1 == pytest.approx(u2, abs=1e-12):
             assert sum(first.mapping.values()) <= sum(second.mapping.values())

@@ -223,9 +223,9 @@ def test_total_utility_matches_singleton_sum():
     result = run_planning(scenario)
     index = ScenarioIndex.build(scenario)
     values = spot_values(scenario.target)
-    from shapeform.utility import module_spot_utility
+    from oracles import reference_spot_cost
     expected = sum(
-        module_spot_utility(index.module_by_id[m], index.spot_by_id[s], values,
-                            index, None, scenario.cost_params)
+        values[s] - reference_spot_cost(index.module_by_id[m], index.spot_by_id[s],
+                                        index, None, scenario.cost_params)
         for s, m in result.allocation.items())
     assert result.metrics.total_utility == pytest.approx(expected)

@@ -11,8 +11,6 @@ GOLDEN_HEADERS = {
     "distance": ["n_modules", "total_distance_units_mean", "total_distance_units_std"],
     "messages": ["n_modules", "broadcasts_mean", "broadcasts_std",
                  "point_to_point_mean", "point_to_point_std"],
-    "completion_profile": ["n_modules", "time_pct", "events_complete_pct_mean",
-                           "events_complete_pct_std"],
     "table1": ["config_size", "planning_time_s_mean", "planning_time_s_std",
                "disconnections_mean", "disconnections_std"],
     "auction_compare": ["n_modules", "algorithm", "planning_time_s_mean",
@@ -53,8 +51,6 @@ def test_row_counts_match_sweep_points():
     assert [r[0] for r in report.rows] == [6, 10]
     table = run_sweep("table1", SMALL)
     assert [r[0] for r in table.rows] == [4, 8]
-    profile = run_sweep("completion_profile", SMALL)
-    assert len(profile.rows) == 2 * 10  # ten time percentiles per point
 
 
 def test_auction_compare_rows_pair_up():

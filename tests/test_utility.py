@@ -2,9 +2,11 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from shapeform.allocation import SINGLETON, AllocationState
+from shapeform.generate import GenParams, generate_scenario
+from shapeform.isomorphism import best_embeddings
 from shapeform.metrics import spot_values
 from shapeform.model import (
     Configuration,
@@ -25,11 +27,12 @@ from shapeform.utility import (
     locomotion_cost,
     module_spot_cost,
     module_spot_utility,
+    preserved_links,
     retention_reward,
 )
 
-from conftest import adjacency, path_target, tree_edges_from_seed
-from oracles import brute_spot_values
+from conftest import adjacency, partial_states, path_target, tree_edges_from_seed
+from oracles import brute_spot_values, reference_block_utility, reference_spot_cost
 
 DEFAULTS = CostParams()
 
@@ -64,8 +67,7 @@ def test_singleton_cost_two_future_links():
              Spot(2, Pose(-1.0, 0.0), frozenset({0}))]
     scenario = _scenario([Module(0, Pose(3.0, 4.0))], [], spots)
     index = ScenarioIndex.build(scenario)
-    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index,
-                            None, DEFAULTS)
+    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index)
     assert cost == pytest.approx(5.0 + 2 * 0.1)
 
 
@@ -82,8 +84,9 @@ def test_connected_module_moving_alone():
     index = ScenarioIndex.build(scenario)
     state = AllocationState()
     state.select(1, 2, SINGLETON)  # a stranger holds the neighbor spot
-    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index,
-                            state, DEFAULTS)
+    preserved = preserved_links(0, 0, index, state.spot_of)
+    assert preserved == 0
+    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index, preserved)
     assert cost == pytest.approx(5.0 + 0.1 + 0.05)
 
 
@@ -98,8 +101,9 @@ def test_preserved_link_exempts_both_charges():
     index = ScenarioIndex.build(scenario)
     state = AllocationState()
     state.select(1, 1, SINGLETON)  # the partner already sits next door
-    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index,
-                            state, DEFAULTS)
+    preserved = preserved_links(0, 0, index, state.spot_of)
+    assert preserved == 1
+    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index, preserved)
     assert cost == pytest.approx(5.0)
 
 
@@ -121,18 +125,18 @@ def _block_fixture(n_members, total_modules, distance=5.0):
 
 def test_block_cost_two_members():
     index, mapping = _block_fixture(2, total_modules=10)
-    assert block_cost(mapping, index, None, DEFAULTS) == pytest.approx(10.0)
+    assert block_cost(mapping, index) == pytest.approx(10.0)
 
 
 def test_block_cost_three_members():
     index, mapping = _block_fixture(3, total_modules=10)
-    assert block_cost(mapping, index, None, DEFAULTS) == pytest.approx(15.0 - 0.1)
+    assert block_cost(mapping, index) == pytest.approx(15.0 - 0.1)
 
 
 def test_block_cost_rejects_non_injective_mapping():
     index, _ = _block_fixture(3, total_modules=10)
     with pytest.raises(EmbeddingError, match="injective"):
-        block_cost({0: 0, 1: 1, 2: 1}, index, None, DEFAULTS)
+        block_cost({0: 0, 1: 1, 2: 1}, index)
 
 
 @pytest.mark.parametrize("size, total", [(0, 10), (11, 10)])
@@ -149,14 +153,14 @@ def test_module_spot_utility_examples():
     index = ScenarioIndex.build(scenario)
     values = {0: 1.0, 1: 0.0, 2: 0.0}
     utility = module_spot_utility(index.module_by_id[0], index.spot_by_id[0],
-                                  values, index, None, DEFAULTS)
+                                  values, index)
     assert utility == pytest.approx(1.0 - 5.2)
     # module exactly on an isolated spot, nothing to form or sever
     lone = _scenario([Module(0, Pose(0.0, 0.0))], [],
                      [Spot(0, Pose(0.0, 0.0), frozenset())])
     lone_index = ScenarioIndex.build(lone)
     assert module_spot_utility(lone_index.module_by_id[0], lone_index.spot_by_id[0],
-                               {0: 0.0}, lone_index, None, DEFAULTS) == 0.0
+                               {0: 0.0}, lone_index) == 0.0
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=5000))
@@ -173,7 +177,7 @@ def test_singleton_utilities_match_independent_recomputation(n, seed):
                                        for s in target.spots})
     for m in modules:
         for s in target.spots:
-            got = module_spot_utility(m, s, values, index, None, DEFAULTS)
+            got = module_spot_utility(m, s, values, index)
             expected = (oracle_values[s.id]
                         - math.hypot(m.pose.x - s.pose.x, m.pose.y - s.pose.y)
                         - 0.1 * len(s.neighbor_ids))
@@ -188,10 +192,10 @@ def test_block_utility_identity(n, seed):
     members = sorted(mapping)
     member_sum = sum(
         module_spot_utility(index.module_by_id[m], index.spot_by_id[mapping[m]],
-                            values, index, None, DEFAULTS, mapping=mapping)
+                            values, index, preserved_links(m, mapping[m], index, mapping.get))
         for m in members)
     expected = member_sum + retention_reward(len(mapping), index.n_modules)
-    assert block_utility(mapping, values, index, None, DEFAULTS) == pytest.approx(expected)
+    assert block_utility(mapping, values, index) == pytest.approx(expected)
 
 
 def test_block_utility_size_one_identity():
@@ -201,8 +205,8 @@ def test_block_utility_size_one_identity():
     index = ScenarioIndex.build(scenario)
     values = {0: 0.5}
     single = module_spot_utility(index.module_by_id[0], index.spot_by_id[0],
-                                 values, index, None, DEFAULTS)
-    got = block_utility({0: 0}, values, index, None, DEFAULTS)
+                                 values, index)
+    got = block_utility({0: 0}, values, index)
     assert got == pytest.approx(single + (1 - 2) / 10)
 
 
@@ -210,7 +214,7 @@ def test_cost_never_below_locomotion():
     index, mapping = _block_fixture(4, total_modules=8)
     for m, s in mapping.items():
         cost = module_spot_cost(index.module_by_id[m], index.spot_by_id[s], index,
-                                None, DEFAULTS, mapping=mapping)
+                                preserved_links(m, s, index, mapping.get))
         assert cost >= 5.0 - 1e-12
 
 
@@ -251,7 +255,7 @@ def test_whole_config_embedding_pays_dock_only_for_boundary(n, seed, extra):
     scenario = _scenario(modules, [config], spots)
     index = ScenarioIndex.build(scenario)
     mapping = {i: i for i in range(n)}
-    total = block_cost(mapping, index, None, DEFAULTS)
+    total = block_cost(mapping, index)
     locomotion = sum(
         locomotion_cost(index.module_by_id[i].pose, index.spot_by_id[i].pose, DEFAULTS)
         for i in range(n))
@@ -264,13 +268,65 @@ def test_whole_config_embedding_pays_dock_only_for_boundary(n, seed, extra):
 def test_block_cheaper_than_severed_singletons(n, seed):
     """Keeping a block together beats paying every dock as a singleton."""
     index, mapping = _block_fixture(n, total_modules=n + 3)
-    as_block = block_cost(mapping, index, None, DEFAULTS)
+    as_block = block_cost(mapping, index)
     # oracle: same geometry, no configuration
     loose = _scenario([Module(i, Pose(float(i), 5.0)) for i in range(n)], [],
                       [index.spot_by_id[i] for i in range(n)], n_fill=3)
     loose_index = ScenarioIndex.build(loose)
     as_singletons = sum(
         module_spot_cost(loose_index.module_by_id[i], loose_index.spot_by_id[i],
-                         loose_index, None, DEFAULTS)
+                         loose_index)
         for i in range(n))
     assert as_block < as_singletons
+
+
+@settings(max_examples=60)
+@given(partial_states())
+def test_preserved_count_matches_per_neighbour_reference(drawn):
+    scenario, state, _ = drawn
+    index = ScenarioIndex.build(scenario)
+    for module in scenario.modules:
+        for spot in scenario.target.spots:
+            preserved = preserved_links(module.id, spot.id, index, state.spot_of)
+            assert module_spot_cost(module, spot, index, preserved) == \
+                reference_spot_cost(module, spot, index, state, index.cost_params)
+
+
+def _connected_part(target, size, rng):
+    """A random connected part of the target with ``size`` spots."""
+    spots = {s.id: s for s in target.spots}
+    part = {rng.choice(sorted(spots))}
+    while len(part) < size:
+        part.add(rng.choice(sorted({n for s in part for n in spots[s].neighbor_ids} - part)))
+    return TargetConfiguration(spots=tuple(
+        Spot(s, spots[s].pose, spots[s].neighbor_ids & frozenset(part)) for s in sorted(part)))
+
+
+@settings(max_examples=40)
+@given(st.integers(min_value=6, max_value=24), st.integers(min_value=0, max_value=2 ** 16),
+       st.integers(min_value=0, max_value=2 ** 16))
+def test_block_utility_matches_reference_with_and_without_state(n, seed, rng_seed):
+    """Full embeddings into the target and maximum-common-subtree embeddings
+    into a part too small for the block, scored against the per-neighbour
+    reference with no state and with a state that places no block member."""
+    scenario = generate_scenario(GenParams(n_spots=n, seed=seed, config_size_range=(2, 6)))
+    index = ScenarioIndex.build(scenario)
+    values = spot_values(scenario.target)
+    params = index.cost_params
+    rng = random.Random(rng_seed)
+    for config in scenario.configurations:
+        size = len(config.member_ids)
+        strangers = [m.id for m in scenario.modules if m.id not in config.member_ids]
+        spots = [s.id for s in scenario.target.spots]
+        rng.shuffle(strangers)
+        rng.shuffle(spots)
+        state = AllocationState()
+        for module_id, spot_id in zip(strangers[:rng.randint(0, len(strangers))], spots):
+            state.select(spot_id, module_id, SINGLETON)
+        small = _connected_part(scenario.target, rng.randint(1, size - 1), rng)
+        embeddings = (best_embeddings(config, scenario.target, values, 5)
+                      + best_embeddings(config, small, values, 5))
+        for embedding in embeddings:
+            got = block_utility(embedding.mapping, values, index)
+            assert got == reference_block_utility(embedding.mapping, values, index, None, params)
+            assert got == reference_block_utility(embedding.mapping, values, index, state, params)
