@@ -13,11 +13,12 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Mapping, Optional
 
-from .isomorphism import Embedding, MCS, best_embeddings, order_embeddings
+from .isomorphism import Embedding, MCS, TargetStates, best_embeddings, order_embeddings
 from .metrics import target_center
-from .model import ScenarioIndex, Spot, TargetConfiguration
+from .model import ScenarioIndex
 from .utility import module_spot_utility, preserved_links
 
 SINGLETON = "singleton"
@@ -89,7 +90,7 @@ class AllocationState:
 @dataclass(frozen=True)
 class PlanContext:
     """Everything a selection decision needs: scenario lookups, spot values,
-    the derived target center, and each module's fixed utility table.
+    the target center, fixed utility tables and the target state numbering.
 
     A module's state-free utility for a spot charges docking for every spot
     neighbour and undocking for every initial link.  Against the evolving
@@ -114,6 +115,10 @@ class PlanContext:
         return PlanContext(index=index, values=values,
                            center=target_center(index.scenario.target),
                            _fixed_utility={}, _fixed_order={})
+
+    @cached_property
+    def target_states(self) -> TargetStates:
+        return TargetStates(self.index.scenario.target, self.values)
 
     def utility(self, module_id: int, spot_id: int, state: AllocationState) -> float:
         if not self.index.module_links[module_id]:
@@ -302,21 +307,6 @@ def _center_distance_order(module_ids, ctx: PlanContext) -> list[int]:
                                             ctx.index.module_by_id[m].pose.y - cy), m))
 
 
-def _available_target(index: ScenarioIndex, state: AllocationState) -> TargetConfiguration:
-    """The target minus spots held by block members.
-
-    Committed blocks are immovable, so a configuration searches for
-    embeddings in what is left (a forest); spots held by singletons remain
-    candidates because their holders can be evicted.
-    """
-    available = {s for s in index.spot_by_id
-                 if state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER}
-    spots = tuple(Spot(id=s.id, pose=s.pose,
-                       neighbor_ids=s.neighbor_ids & frozenset(available))
-                  for s in index.scenario.target.spots if s.id in available)
-    return TargetConfiguration(spots=spots)
-
-
 def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -> BlockResult:
     """Select a set of adjacent spots for a whole configuration.
 
@@ -336,11 +326,12 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
     members = set(config.member_ids)
     remaining = set(config.member_ids)
 
-    available = _available_target(index, state)
+    held = frozenset(s for s, m in state.selections.items()
+                     if state.selector_kind[m] == BLOCK_MEMBER)
     embeddings = []
-    if available.spots:
-        embeddings = best_embeddings(config, available, ctx.values,
-                                     index.algo_params.max_embeddings)
+    if len(held) < len(index.spot_by_id):
+        embeddings = best_embeddings(config, ctx.target_states,
+                                     index.algo_params.max_embeddings, held)
     if not embeddings:
         # pathological: nothing in common with the target; scatter everyone
         order = _center_distance_order(members, ctx)

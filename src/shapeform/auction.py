@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .model import ScenarioIndex
 from .utility import module_spot_utility
@@ -22,6 +21,10 @@ from .utility import module_spot_utility
 
 class NonTerminationError(RuntimeError):
     """The auction exceeded its round budget; epsilon is misconfigured."""
+
+
+class TooManyBiddersError(ValueError):
+    """A forward auction got more bidders than items, so it cannot settle."""
 
 
 @dataclass(frozen=True)
@@ -64,7 +67,8 @@ def _forward_auction(utilities: np.ndarray, epsilon: float,
     """Gauss-Seidel forward auction; requires bidders <= items.
     Returns {bidder index: item index} and the number of bids placed."""
     n_bidders, n_items = utilities.shape
-    assert n_bidders <= n_items
+    if n_bidders > n_items:
+        raise TooManyBiddersError(f"{n_bidders} bidders for {n_items} items")
     prices = np.zeros(n_items)
     owner: dict[int, int] = {}  # item -> bidder
     assigned: dict[int, int] = {}  # bidder -> item
@@ -125,6 +129,7 @@ def optimal_assignment(utilities: np.ndarray) -> tuple[dict[int, int], float]:
     Exact for any size; returns ({row: column}, total utility) covering
     min(rows, columns) pairs.
     """
+    from scipy.optimize import linear_sum_assignment  # costly import; the planner never needs it
     rows, cols = linear_sum_assignment(utilities, maximize=True)
     assignment = {int(r): int(c) for r, c in zip(rows, cols)}
     total = float(utilities[rows, cols].sum())

@@ -8,14 +8,16 @@ connected piece of the configuration that fits somewhere in the target.
 Both cases read one integer table.  Every target state -- a spot entered
 from a neighbour, ``(u, pu)``, or a spot taken as root, ``(u, None)`` --
 gets a number, and a ``slots`` array lists each state's child states,
-padded with a sentinel state worth 0.  Each configuration state
-``(c, pc)`` (a module entered from a neighbour, or a root module) holds
-one int array over all target states: the size of the largest common
-rooted subtree that maps c onto that state's spot.  The arrays are built
-bottom-up from an explicit stack, children first; matching children to
-slots is a bitmask DP over slot positions, run for all target states in
-one numpy pass per child.  The DP is exact for any degree cap, and its
-values are integers, so no tie can flip.
+padded with a sentinel state worth 0.  ``TargetStates`` numbers a target
+once for every search into it; a search leaves out spots held by
+committed blocks by pointing their slot entries at the sentinel.  Each
+configuration state ``(c, pc)`` (a module entered from a neighbour, or a
+root module) holds one int array over all target states: the size of the
+largest common rooted subtree that maps c onto that state's spot.  The
+arrays are built bottom-up from an explicit stack, children first;
+matching children to slots is a bitmask DP over slot positions, run for
+all target states in one numpy pass per child.  The DP is exact for any
+degree cap, and its values are integers, so no tie can flip.
 
 The enumerator walks only branches that the table says can reach the
 requested size, so it never dead-ends, and it runs from an explicit
@@ -85,38 +87,60 @@ def check_embedding(mapping: Mapping[int, int],
             raise EmbeddingError("mapped modules not connected")
 
 
-class _PairSearch:
-    """Table of rooted common-subtree sizes and memo of enumerated mappings
-    for one configuration/target pair.
+class TargetStates:
+    """The target's state numbering, built once per target and shared by
+    every search into it.
 
     A target state is a spot entered from a neighbour, ``(u, pu)``, or a
     spot taken as root, ``(u, None)``; every state has a number, and row i
-    of ``_slots`` lists the states of i's children (its other neighbours,
+    of ``slots`` lists the states of i's children (its other neighbours,
     entered from it), padded with a sentinel state whose value is 0.
+    ``spot`` maps each state to its spot (-1 for the sentinel).
     """
 
-    def __init__(self, config: Configuration, target: TargetConfiguration,
-                 values: Mapping[int, float]):
-        self.config_adj = {m: tuple(sorted(ns)) for m, ns in config.adjacency().items()}
+    def __init__(self, target: TargetConfiguration, values: Mapping[int, float]):
         self.target_adj = {s: tuple(sorted(ns)) for s, ns in target.adjacency().items()}
-        self.module_order = sorted(config.member_ids)
         # target roots visited in descending value, ties by lower spot id
         self.spot_order = sorted(self.target_adj, key=lambda s: (-values.get(s, 0.0), s))
-        self._state: dict[tuple[int, Optional[int]], int] = {}
+        self.state: dict[tuple[int, Optional[int]], int] = {}
         for u, ns in self.target_adj.items():
             for pu in (None, *ns):
-                self._state[(u, pu)] = len(self._state)
-        sentinel = len(self._state)
-        self._width = max(map(len, self.target_adj.values()))
-        rows = [[self._state[(y, u)] for y in self.target_adj[u] if y != pu]
-                for u, pu in self._state]
+                self.state[(u, pu)] = len(self.state)
+        self.sentinel = len(self.state)
+        self.width = max(map(len, self.target_adj.values()))
+        rows = [[self.state[(y, u)] for y in self.target_adj[u] if y != pu]
+                for u, pu in self.state]
         rows.append([])
-        self._slots = np.array([row + [sentinel] * (self._width - len(row)) for row in rows],
-                               dtype=np.intp)
-        self._roots = np.array([self._state[(u, None)] for u in self.target_adj])
+        self.slots = np.array([row + [self.sentinel] * (self.width - len(row))
+                               for row in rows], dtype=np.intp)
+        self.spot = np.array([u for u, _ in self.state] + [-1], dtype=np.intp)
         # views of a (2,) * width mask array: masks with and without slot j
-        self._with_without = [((slice(None),) * j + (1,), (slice(None),) * j + (0,))
-                              for j in range(self._width)]
+        self.with_without = [((slice(None),) * j + (1,), (slice(None),) * j + (0,))
+                             for j in range(self.width)]
+
+
+class _PairSearch:
+    """Table of rooted common-subtree sizes and memo of enumerated mappings
+    for one configuration and the target minus the ``held`` spots.
+
+    Every slot entry whose child spot is held points at the sentinel, held
+    spots are never roots, and the walks skip them as slots.  This equals a
+    search in the forest left after removing the held spots: a held child
+    adds 0 to every parent's DP, and no walk enters a state from a held
+    spot, so the states that are read have the forest's values.
+    """
+
+    def __init__(self, config: Configuration, states: TargetStates,
+                 held: frozenset[int] = frozenset()):
+        self.config_adj = {m: tuple(sorted(ns)) for m, ns in config.adjacency().items()}
+        self.module_order = sorted(config.member_ids)
+        self.states = states
+        self.held = held
+        self._state = states.state
+        self._slots = states.slots
+        if held:
+            self._slots = np.where(np.isin(states.spot[states.slots], list(held)),
+                                   states.sentinel, states.slots)
         # configuration state (c, pc) -> best size at every target state,
         # as an array for the DP and as a list for lookups
         self._table: dict[tuple[int, Optional[int]], np.ndarray] = {}
@@ -154,14 +178,14 @@ class _PairSearch:
         on distinct slots inside ``mask``; a child either stays out or
         takes one slot j of the mask, on top of the best without j.
         """
-        dp = np.zeros((2,) * self._width + (len(self._slots),), dtype=np.int64)
+        dp = np.zeros((2,) * self.states.width + (len(self._slots),), dtype=np.int64)
         for child in below:
             gain = self._table[child][self._slots]
             merged = dp.copy()
-            for j, (with_j, without_j) in enumerate(self._with_without):
+            for j, (with_j, without_j) in enumerate(self.states.with_without):
                 np.maximum(merged[with_j], dp[without_j] + gain[:, j], out=merged[with_j])
             dp = merged
-        table = dp[(1,) * self._width] + 1
+        table = dp[(1,) * self.states.width] + 1
         table[-1] = 0  # the sentinel
         return table
 
@@ -227,7 +251,7 @@ class _PairSearch:
         """Generator behind ``enumerate``: yields each sub-enumeration
         request, receives its mappings and returns this state's mappings."""
         children = [x for x in self.config_adj[c] if x != pc and x >= floor]
-        slots = [y for y in self.target_adj[u] if y != pu]
+        slots = [y for y in self.states.target_adj[u] if y != pu and y not in self.held]
         caps = [[self.best(ci, c, uj, u) for uj in slots] for ci in children]
         suffix = [0] * (len(children) + 1)
         for i in range(len(children) - 1, -1, -1):
@@ -281,7 +305,8 @@ class _PairSearch:
         """Size of the largest common subtree over every (module, spot) root."""
         for m in self.module_order:
             self._build(m, None)
-        return max(int(self._table[(m, None)][self._roots].max()) for m in self.module_order)
+        roots = [self._state[(u, None)] for u in self.states.target_adj if u not in self.held]
+        return max(int(self._table[(m, None)][roots].max()) for m in self.module_order)
 
     def collect(self, size: int, kind: str, limit: int) -> list[Embedding]:
         """Gather up to ``limit`` distinct embeddings of the given size,
@@ -296,7 +321,9 @@ class _PairSearch:
         roots = self.module_order[:1] if size == len(self.module_order) else self.module_order
         out: list[Embedding] = []
         seen: set[frozenset] = set()
-        for u in self.spot_order:
+        for u in self.states.spot_order:
+            if u in self.held:
+                continue
             for m in roots:
                 if self.best(m, None, u, None) < size:
                     continue
@@ -305,7 +332,7 @@ class _PairSearch:
                     if key in seen:
                         continue
                     seen.add(key)
-                    check_embedding(mapping, self.config_adj, self.target_adj)
+                    check_embedding(mapping, self.config_adj, self.states.target_adj)
                     out.append(Embedding(mapping=mapping, kind=kind))
                     if len(out) >= limit:
                         return out
@@ -325,7 +352,7 @@ def enumerate_full_embeddings(config: Configuration, target: TargetConfiguration
         return []
     if len(config.member_ids) > len(target.spots):
         return []
-    search = _PairSearch(config, target, values)
+    search = _PairSearch(config, TargetStates(target, values))
     return search.collect(len(config.member_ids), FULL, max_embeddings)
 
 
@@ -341,22 +368,23 @@ def enumerate_mcs_embeddings(config: Configuration, target: TargetConfiguration,
     """
     if not config.member_ids or not target.spots:
         raise DegenerateInputError("embedding requires a non-empty configuration and target")
-    search = _PairSearch(config, target, values)
+    search = _PairSearch(config, TargetStates(target, values))
     k_max = search.max_common_size()
     kind = MCS if k_max < len(config.member_ids) else FULL
     return search.collect(k_max, kind, max_embeddings)
 
 
-def best_embeddings(config: Configuration, target: TargetConfiguration,
-                    values: Mapping[int, float],
-                    max_embeddings: int = 20) -> list[Embedding]:
+def best_embeddings(config: Configuration, states: TargetStates, max_embeddings: int = 20,
+                    held: frozenset[int] = frozenset()) -> list[Embedding]:
     """Full embeddings when any exist, else maximum common subtree embeddings,
-    sharing one memo table across both phases."""
-    if not config.member_ids or not target.spots:
+    sharing one memo table across both phases.  Spots in ``held`` are left
+    out of the target, as if the search ran on the forest that remains."""
+    available = len(states.target_adj) - len(held)
+    if not config.member_ids or available < 1:
         raise DegenerateInputError("embedding requires a non-empty configuration and target")
-    search = _PairSearch(config, target, values)
+    search = _PairSearch(config, states, held)
     n = len(config.member_ids)
-    if n <= len(target.spots):
+    if n <= available:
         full = search.collect(n, FULL, max_embeddings)
         if full:
             return full

@@ -2,20 +2,18 @@
 
 The value of a spot is its share of shortest paths: the number of
 shortest paths between other spot pairs that pass through it, divided by
-the total number of shortest paths between those pairs.  On a tree every
-pair has exactly one path, so the value reduces to the fraction of pairs
-whose path crosses the spot; the computation below handles general
-graphs via per-source BFS accumulation so non-tree targets still get
-sensible values.
+the total number of shortest paths between those pairs.  Validation
+limits the target to a tree, where every pair has exactly one path, so
+the value is the fraction of pairs whose path crosses the spot.  One
+walk of the tree gives it for every spot in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
-from .model import ScenarioIndex, TargetConfiguration
+from .model import NotATreeError, ScenarioIndex, TargetConfiguration
 
 
 class EmptyTargetError(ValueError):
@@ -25,59 +23,39 @@ class EmptyTargetError(ValueError):
 def spot_values(target: TargetConfiguration) -> dict[int, float]:
     """Map every spot id to its value in [0, 1].
 
-    For spot v the numerator counts shortest paths between pairs {j, k}
-    (v not an endpoint) passing through v, the denominator counts all
-    shortest paths between such pairs.  A single-spot target values its
-    spot at 0; so do both ends of a two-spot target (no third-party pairs).
+    Removing spot v splits the other n - 1 spots of the tree into branches
+    of sizes s_i; a pair {j, k} (v not an endpoint) avoids v exactly when
+    both lie in one branch, so v's value is
+    ``(C(n-1, 2) - sum C(s_i, 2)) / C(n-1, 2)``, or 0 when n <= 2.  The
+    branch sizes come from one walk from the lowest id.  Raises
+    ``NotATreeError`` for a target with a cycle or more than one component.
     """
     if not target.spots:
         raise EmptyTargetError("cannot value spots of an empty target")
-    ids = sorted(s.id for s in target.spots)
-    if len(ids) == 1:
-        return {ids[0]: 0.0}
     adj = target.adjacency()
-
-    # Per source s: BFS gives path counts sigma(s, v) and the shortest-path
-    # DAG.  continuations[v] = number of DAG paths from v to any strictly
-    # later vertex; sigma(s, v) * continuations[v] then counts the shortest
-    # (s, t) paths with v strictly between s and t.
-    through = {v: 0.0 for v in ids}
-    row_sigma = {v: 0.0 for v in ids}
-    total_sigma = 0.0
-    for s in ids:
-        dist = {s: 0}
-        sigma = {s: 1.0}
-        successors: dict[int, list[int]] = {s: []}
-        order = [s]
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in sorted(adj[v]):
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    sigma[w] = 0.0
-                    successors[w] = []
-                    order.append(w)
-                    queue.append(w)
-                if dist[w] == dist[v] + 1:
-                    sigma[w] += sigma[v]
-                    successors[v].append(w)
-        continuations = {v: 0.0 for v in order}
-        for v in reversed(order):
-            for w in successors[v]:
-                continuations[v] += 1.0 + continuations[w]
-        for v in order:
-            if v != s:
-                through[v] += sigma[v] * continuations[v]
-        row_sigma[s] = sum(sigma[t] for t in order if t != s)
-        total_sigma += row_sigma[s]
-    total_sigma /= 2.0  # ordered -> unordered pairs
-
-    values = {}
-    for v in ids:
-        denom = total_sigma - row_sigma[v]
-        values[v] = (through[v] / 2.0) / denom if denom > 0 else 0.0
-    return values
+    n = len(adj)
+    root = min(adj)
+    parent: dict[int, int | None] = {root: None}
+    order = [root]  # grows while it is walked: parents before children
+    for v in order:
+        for w in adj[v]:
+            if w == parent[v]:
+                continue
+            if w in parent:
+                raise NotATreeError(f"target: cycle through spots {v} and {w}")
+            parent[w] = v
+            order.append(w)
+    if len(order) != n:
+        raise NotATreeError(f"target: not connected ({len(order)}/{n} reachable)")
+    size = dict.fromkeys(order, 1)
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    # pairs inside the branch towards the parent, then inside each child's
+    within = {v: (n - size[v]) * (n - size[v] - 1) // 2 for v in order}
+    for v in order[1:]:
+        within[parent[v]] += size[v] * (size[v] - 1) // 2
+    pairs = (n - 1) * (n - 2) // 2
+    return {v: (pairs - within[v]) / pairs if pairs else 0.0 for v in sorted(adj)}
 
 
 def target_center(target: TargetConfiguration) -> tuple[float, float]:

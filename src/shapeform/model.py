@@ -296,7 +296,6 @@ class ScenarioIndex:
     module_links: Mapping[int, frozenset[int]]
     spot_neighbors: Mapping[int, frozenset[int]]
     singleton_ids: tuple[int, ...]
-    sorted_spots: tuple[int, ...]
     n_modules: int
 
     @staticmethod
@@ -316,7 +315,6 @@ class ScenarioIndex:
             module_links=links,
             spot_neighbors=scenario.target.adjacency(),
             singleton_ids=singletons,
-            sorted_spots=tuple(sorted(spot_by_id)),
             n_modules=len(scenario.modules),
         )
 
@@ -327,6 +325,3 @@ class ScenarioIndex:
     @property
     def algo_params(self) -> AlgoParams:
         return self.scenario.algo_params
-
-    def sorted_spot_ids(self) -> tuple[int, ...]:
-        return self.sorted_spots

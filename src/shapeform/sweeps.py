@@ -18,7 +18,7 @@ import numpy as np
 
 from .auction import AuctionParams, auction_assign, singleton_utility_matrix
 from .generate import GenParams, generate_scenario, random_tree_configuration
-from .isomorphism import best_embeddings
+from .isomorphism import TargetStates, best_embeddings
 from .metrics import spot_values
 from .model import AlgoParams, CostParams, ScenarioIndex, planar_distance
 from .scenario_io import load_scenario
@@ -211,7 +211,7 @@ def _sweep_mcs_time(kind: str, params: SweepParams, report: SweepReport) -> None
                     size, seed + 1, params.algo_params.max_degree)
                 values = spot_values(scenario.target)
                 started = time.perf_counter()
-                best_embeddings(config, scenario.target, values,
+                best_embeddings(config, TargetStates(scenario.target, values),
                                 params.algo_params.max_embeddings)
                 times.append(time.perf_counter() - started)
             except Exception as exc:  # noqa: BLE001

@@ -12,6 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 
+from shapeform.allocation import BLOCK_MEMBER
+from shapeform.model import Spot, TargetConfiguration
+
 
 def all_shortest_paths(adj: dict[int, set[int]], a: int, b: int) -> list[tuple[int, ...]]:
     """Every shortest a-b path, found by breadth-first path enumeration."""
@@ -140,6 +143,21 @@ def recursive_best(config_adj: dict[int, set[int]], target_adj: dict[int, set[in
                     for uj in slots] for ci in children]
         memo[key] = 1 + _assign_max(weights, 0, 0)
     return memo[key]
+
+
+def available_forest(index, state) -> TargetConfiguration:
+    """The target minus spots held by block members.
+
+    Committed blocks are immovable, so a configuration searches for
+    embeddings in what is left (a forest); spots held by singletons remain
+    candidates because their holders can be evicted.
+    """
+    available = {s for s in index.spot_by_id
+                 if state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER}
+    spots = tuple(Spot(id=s.id, pose=s.pose,
+                       neighbor_ids=s.neighbor_ids & frozenset(available))
+                  for s in index.scenario.target.spots if s.id in available)
+    return TargetConfiguration(spots=spots)
 
 
 def brute_optimal_assignment(matrix) -> tuple[dict[int, int], float]:

@@ -374,7 +374,7 @@ def test_best_spot_and_order_match_full_scan(drawn):
         def excluded(s, c=contested[module.id]):
             return s == c or state.selector_kind.get(state.selector_of(s)) == BLOCK_MEMBER
 
-        spot_ids = index.sorted_spot_ids()
+        spot_ids = tuple(sorted(index.spot_by_id))
         assert ctx.best_spot(module.id, state, excluded) == \
             brute_best(utility, spot_ids, excluded)
         assert ctx.preference_order(module.id, state) == brute_order(utility, spot_ids)
@@ -412,5 +412,6 @@ def test_rescored_spot_ties_with_fixed_spot():
     assert ctx.utility(0, 1, state) == ctx.utility(0, 3, state)
     assert ctx.best_spot(0, state, lambda s: s == 2) == 1
     order = ctx.preference_order(0, state)
-    assert order == brute_order(lambda s: ctx.utility(0, s, state), index.sorted_spot_ids())
+    assert order == brute_order(lambda s: ctx.utility(0, s, state),
+                                tuple(sorted(index.spot_by_id)))
     assert order.index(1) < order.index(3)

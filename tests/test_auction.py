@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +11,8 @@ from hypothesis.extra.numpy import arrays
 from shapeform.auction import (
     AuctionParams,
     NonTerminationError,
+    TooManyBiddersError,
+    _forward_auction,
     auction_assign,
     default_epsilon,
     optimal_assignment,
@@ -113,3 +120,19 @@ def test_singleton_utility_matrix_shape_and_values():
                                                          index.spot_by_id[sid], index,
                                                          None, scenario.cost_params)
             assert matrix[i, j] == pytest.approx(expected)
+
+
+def test_forward_auction_rejects_more_bidders_than_items():
+    with pytest.raises(TooManyBiddersError):
+        _forward_auction(np.zeros((3, 2)), 0.1, 100)
+
+
+def test_import_does_not_load_scipy_optimize():
+    import shapeform
+
+    src = str(Path(shapeform.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    subprocess.run([sys.executable, "-c",
+                    "import sys, shapeform; assert 'scipy.optimize' not in sys.modules"],
+                   env=env, check=True)

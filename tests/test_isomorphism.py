@@ -3,10 +3,12 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from shapeform.allocation import BLOCK_MEMBER
 from shapeform.isomorphism import (
     DegenerateInputError,
     FULL,
     MCS,
+    TargetStates,
     _PairSearch,
     best_embeddings,
     check_embedding,
@@ -31,17 +33,28 @@ from conftest import (
     adjacency,
     chain_scenario,
     config_from_edges,
+    partial_states,
     path_target,
     random_trees,
     target_from_edges,
 )
-from oracles import brute_full_embeddings, brute_mcs_size, is_edge_preserving, recursive_best
+from oracles import (
+    available_forest,
+    brute_full_embeddings,
+    brute_mcs_size,
+    is_edge_preserving,
+    recursive_best,
+)
 
 UNBOUNDED = 10 ** 9
 
 
 def values_for(target):
     return spot_values(target)
+
+
+def states_for(target):
+    return TargetStates(target, spot_values(target))
 
 
 def star_config(leaves, first_id=0):
@@ -98,7 +111,9 @@ def test_degenerate_inputs_raise():
         enumerate_mcs_embeddings(config, TargetConfiguration(spots=()), {}, 5)
     with pytest.raises(DegenerateInputError):
         best_embeddings(Configuration(id=0, member_ids=(), edges=frozenset(),
-                                      leader_id=0), target, values_for(target), 5)
+                                      leader_id=0), states_for(target), 5)
+    with pytest.raises(DegenerateInputError):
+        best_embeddings(config, states_for(target), 5, held=frozenset({0, 1}))
 
 
 def test_extra_leaf_blocked_by_degree_drops_one():
@@ -180,7 +195,7 @@ def test_table_matches_recursive_reference(config_tree, target_tree):
     target = target_from_edges(tn, target_edges)
     config_adj = adjacency(cn, config_edges)
     target_adj = adjacency(tn, target_edges)
-    search = _PairSearch(config, target, values_for(target))
+    search = _PairSearch(config, states_for(target))
     config_states = [(c, p) for c in config_adj for p in (None, *config_adj[c])]
     target_states = [(u, p) for u in target_adj for p in (None, *target_adj[u])]
     memo = {}
@@ -231,7 +246,7 @@ def test_outputs_are_injective_edge_preserving_connected(config_tree, target_tre
     target = target_from_edges(tn, target_edges)
     config_adj = adjacency(cn, config_edges)
     target_adj = adjacency(tn, target_edges)
-    for emb in best_embeddings(config, target, values_for(target), 50):
+    for emb in best_embeddings(config, states_for(target), 50):
         mapping = dict(emb.mapping)
         assert len(set(mapping.values())) == len(mapping)
         assert is_edge_preserving(mapping, config_adj, target_adj)
@@ -254,10 +269,33 @@ def test_enumeration_deterministic(config_tree, target_tree, cap):
     tn, target_edges = target_tree
     config = config_from_edges(range(cn), config_edges)
     target = target_from_edges(tn, target_edges)
-    values = values_for(target)
-    first = best_embeddings(config, target, values, cap)
-    second = best_embeddings(config, target, values, cap)
+    states = states_for(target)
+    first = best_embeddings(config, states, cap)
+    second = best_embeddings(config, states, cap)
     assert [e.mapping for e in first] == [e.mapping for e in second]
+
+
+@settings(max_examples=150)
+@given(partial_states(), st.integers(min_value=1, max_value=30))
+def test_held_spots_match_search_in_available_forest(drawn, cap):
+    """Leaving block-held spots out through ``held`` gives what a search in
+    the forest without them gives: the same mappings, kinds and order."""
+    scenario, state, _ = drawn
+    index = ScenarioIndex.build(scenario)
+    values = spot_values(scenario.target)
+    held = frozenset(s for s, m in state.selections.items()
+                     if state.selector_kind[m] == BLOCK_MEMBER)
+    forest = available_forest(index, state)
+    states = TargetStates(scenario.target, values)
+    for config in scenario.configurations:
+        if not forest.spots:
+            with pytest.raises(DegenerateInputError):
+                best_embeddings(config, states, cap, held)
+            continue
+        forest_states = TargetStates(forest, values)
+        got = best_embeddings(config, states, cap, held)
+        expected = best_embeddings(config, forest_states, cap)
+        assert [(e.mapping, e.kind) for e in got] == [(e.mapping, e.kind) for e in expected]
 
 
 def test_order_embeddings_by_utility_then_spot_sum():

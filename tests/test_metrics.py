@@ -14,6 +14,7 @@ from shapeform.metrics import (
 from shapeform.model import (
     Configuration,
     Module,
+    NotATreeError,
     Pose,
     Scenario,
     ScenarioIndex,
@@ -60,8 +61,7 @@ def test_values_match_brute_force_on_trees(tree):
     target = target_from_edges(n, edges)
     values = spot_values(target)
     oracle = brute_spot_values(adjacency(n, edges))
-    for spot_id in oracle:
-        assert values[spot_id] == pytest.approx(oracle[spot_id], abs=1e-12)
+    assert values == oracle
 
 
 @given(random_trees(min_nodes=3, max_nodes=12))
@@ -76,14 +76,14 @@ def test_value_bounds_and_leaf_zero(tree):
             assert value == 0.0
 
 
-def test_values_on_non_tree_graph():
-    # 4-cycle: two shortest paths between opposite corners, each mid
-    # vertex carries half the paths of its one cross pair
-    spots = target_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    values = spot_values(spots)
-    # pairs excluding v=1: (0,2) d=2 two paths (one through 1), (0,3) adjacent,
-    # (2,3) adjacent -> 1/4
-    assert values[1] == pytest.approx(0.25)
+def test_values_reject_cycle():
+    with pytest.raises(NotATreeError, match="cycle"):
+        spot_values(target_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+
+
+def test_values_reject_disconnected_target():
+    with pytest.raises(NotATreeError, match="not connected"):
+        spot_values(target_from_edges(4, [(0, 1), (2, 3)]))
 
 
 def test_target_center_examples():

@@ -170,5 +170,4 @@ def test_index_lookups():
     assert index.module_links[0] == frozenset({1})
     assert index.module_links[1] == frozenset({0})
     assert index.n_modules == 2
-    assert index.sorted_spot_ids() == (0, 1)
     assert index.singleton_ids == ()

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from shapeform.allocation import SINGLETON, AllocationState
 from shapeform.generate import GenParams, generate_scenario
-from shapeform.isomorphism import best_embeddings
+from shapeform.isomorphism import TargetStates, best_embeddings
 from shapeform.metrics import spot_values
 from shapeform.model import (
     Configuration,
@@ -324,8 +324,8 @@ def test_block_utility_matches_reference_with_and_without_state(n, seed, rng_see
         for module_id, spot_id in zip(strangers[:rng.randint(0, len(strangers))], spots):
             state.select(spot_id, module_id, SINGLETON)
         small = _connected_part(scenario.target, rng.randint(1, size - 1), rng)
-        embeddings = (best_embeddings(config, scenario.target, values, 5)
-                      + best_embeddings(config, small, values, 5))
+        embeddings = (best_embeddings(config, TargetStates(scenario.target, values), 5)
+                      + best_embeddings(config, TargetStates(small, values), 5))
         for embedding in embeddings:
             got = block_utility(embedding.mapping, values, index)
             assert got == reference_block_utility(embedding.mapping, values, index, None, params)
