@@ -95,3 +95,28 @@ def test_missing_case_file_raises(tmp_path):
     (tmp_path / "expectations.json").write_text(json.dumps({"ghost.json": {}}))
     with pytest.raises(FileNotFoundError):
         run_cases(tmp_path)
+
+
+def test_sweeps_reproduce_recorded_columns():
+    """The deterministic columns of table1 and auction_compare, recorded from
+    the four-loop sweeps that preceded the single runner; any change to the
+    per-run seeds, the scenarios drawn or the summation order shows here."""
+    table = run_sweep("table1", SweepParams(table_sizes=(10, 25, 50), runs=4, seed=0))
+    assert not table.failures
+    assert {r[0]: r[3:5] for r in table.rows} == {
+        10: (1.0, 2.0),
+        25: (1.75, 2.0615528128088303),
+        50: (19.0, 9.38083151964686),
+    }
+    compare = run_sweep("auction_compare", SweepParams(points=(10, 25), runs=3, seed=0))
+    assert not compare.failures
+    # (distance mean, distance std, broadcasts mean, broadcasts std)
+    assert {(r[0], r[1]): r[4:8] for r in compare.rows} == {
+        (10, "spot_allocation"): (84.51356159915231, 20.736655327298426, 20.0, 0.0),
+        (10, "auction"): (84.35957983629082, 21.790839809018372,
+                          14.333333333333334, 2.5166114784235836),
+        (25, "spot_allocation"): (156.89201945487105, 49.897280626546234,
+                                  51.333333333333336, 0.5773502691896258),
+        (25, "auction"): (149.93078303391036, 46.47036029765082,
+                          79.33333333333333, 24.419937209856485),
+    }
