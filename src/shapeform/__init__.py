@@ -15,7 +15,7 @@ from .model import (
 )
 from .scenario_io import load_scenario, save_result, save_scenario
 from .metrics import rank_entities, spot_values, target_center
-from .isomorphism import Embedding, enumerate_full_embeddings, enumerate_mcs_embeddings
+from .isomorphism import Embedding
 from .allocation import AllocationState, PlanContext, block_allocation, evict, spot_allocation
 from .simulate import PlanResult, RunMetrics, run_planning, run_scenario, simulate_acting
 from .auction import AuctionParams, AuctionResult, auction_assign, optimal_assignment
@@ -26,9 +26,8 @@ __all__ = [
     "Configuration", "CostParams", "Embedding", "GenParams", "Module",
     "PlanContext", "PlanResult", "Pose", "RunMetrics", "Scenario",
     "ScenarioIndex", "Spot", "TargetConfiguration", "auction_assign",
-    "block_allocation", "enumerate_full_embeddings", "enumerate_mcs_embeddings",
-    "evict", "generate_scenario", "load_scenario", "optimal_assignment",
-    "rank_entities", "run_planning", "run_scenario", "save_result",
-    "save_scenario", "simulate_acting", "spot_allocation", "spot_values",
-    "target_center", "validate_scenario",
+    "block_allocation", "evict", "generate_scenario", "load_scenario",
+    "optimal_assignment", "rank_entities", "run_planning", "run_scenario",
+    "save_result", "save_scenario", "simulate_acting", "spot_allocation",
+    "spot_values", "target_center", "validate_scenario",
 ]

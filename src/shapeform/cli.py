@@ -91,22 +91,21 @@ def run(scenario_path, dmax, max_embeddings, out, events):
 
 @main.command()
 @click.argument("kind", type=click.Choice(SWEEP_KINDS))
-@click.option("--points", type=str, default="10,25,50,100",
-              help="Comma-separated sweep points (module counts).")
-@click.option("--sizes", type=str, default="10,20,25,50",
-              help="Comma-separated configuration sizes (table1 mode).")
+@click.option("--points", type=str, default=None,
+              help="Comma-separated sweep points: module counts, or block sizes for "
+                   "table1 and mcs_time (default: the kind's grid).")
 @click.option("--spots", "n_spots", type=int, default=100,
-              help="Spot count for table1 mode.")
+              help="Spot count for table1 and mcs_time.")
 @click.option("--runs", type=int, default=50)
 @click.option("--seed", type=int, default=0)
 @click.option("--dmax", type=int, default=3)
 @click.option("--max-embeddings", type=int, default=20)
 @click.option("--out", type=str, default=None)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def sweep(kind, points, sizes, n_spots, runs, seed, dmax, max_embeddings, out, fmt):
+def sweep(kind, points, n_spots, runs, seed, dmax, max_embeddings, out, fmt):
     """Run one experiment sweep and write a report."""
-    params = SweepParams(points=_parse_points(points), runs=runs, seed=seed,
-                         table_sizes=_parse_points(sizes), table_spots=n_spots,
+    params = SweepParams(points=_parse_points(points) if points else None, runs=runs,
+                         seed=seed, spots=n_spots,
                          algo_params=AlgoParams(max_eviction_depth=dmax,
                                                 max_embeddings=max_embeddings))
     report = run_sweep(kind, params)
@@ -133,22 +132,6 @@ def cases(case_dir, out):
     click.echo(f"wrote {path}")
     if not report.all_ok:
         raise SystemExit(1)
-
-
-@main.command("compare-auction")
-@click.option("--points", type=str, default="25,50,100")
-@click.option("--runs", type=int, default=50)
-@click.option("--seed", type=int, default=0)
-@click.option("--out", type=str, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-def compare_auction(points, runs, seed, out, fmt):
-    """Side-by-side planner vs auction sweep on singleton-only scenarios."""
-    params = SweepParams(points=_parse_points(points), runs=runs, seed=seed)
-    report = run_sweep("auction_compare", params)
-    path = _out_path(out, f"auction_compare.{fmt}")
-    report.write(path, fmt)
-    click.echo(report.to_csv().rstrip())
-    click.echo(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -106,90 +106,6 @@ def _grid_tree(n: int, rng: random.Random, max_degree: int,
         f"could not grow a {n}-node tree after {attempts} attempts")
 
 
-def _chunked_grid_tree(n: int, chunk_size: int, rng: random.Random, max_degree: int,
-                       attempts: int = 50,
-                       ) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]],
-                                  list[tuple[int, ...]]]:
-    """Grid tree of n nodes assembled from glued connected chunks.
-
-    Chunks of ``chunk_size`` (plus single-node chunks for any remainder) are
-    grown one after another, each attached to the existing structure by
-    exactly one edge, so the chunk shapes partition the tree.  Growth is
-    confined to a compact bounding box.  Returns (edges, layout, chunks);
-    edges between chunks are the glue edges.
-    """
-    sizes = [chunk_size] * (n // chunk_size) + [1] * (n % chunk_size)
-    radius = _bounding_radius(n)
-    for _ in range(attempts):
-        layout: dict[int, tuple[int, int]] = {}
-        occupied: set[tuple[int, int]] = set()
-        degree: dict[int, int] = {}
-        edges: list[tuple[int, int]] = []
-        chunks: list[tuple[int, ...]] = []
-        next_id = 0
-        stuck = False
-        for chunk_index, size in enumerate(sizes):
-            members: list[int] = []
-
-            def attach_options(hosts):
-                options = []
-                for host in hosts:
-                    if degree[host] >= max_degree:
-                        continue
-                    hx, hy = layout[host]
-                    for dx, dy in _OFFSETS:
-                        cell = (hx + dx, hy + dy)
-                        if cell in occupied:
-                            continue
-                        if max(abs(cell[0]), abs(cell[1])) > radius:
-                            continue
-                        options.append((host, cell))
-                return options
-
-            if chunk_index == 0:
-                layout[0] = (0, 0)
-                occupied.add((0, 0))
-                degree[0] = 0
-                members.append(0)
-                next_id = 1
-            else:
-                options = attach_options(layout.keys())  # glue edge to anything built
-                if not options:
-                    stuck = True
-                    break
-                host, cell = options[rng.randrange(len(options))]
-                node = next_id
-                next_id += 1
-                layout[node] = cell
-                occupied.add(cell)
-                degree[node] = 1
-                degree[host] += 1
-                edges.append((host, node))
-                members.append(node)
-            while len(members) < size:
-                options = attach_options(members)  # grow within the chunk
-                if not options:
-                    stuck = True
-                    break
-                host, cell = options[rng.randrange(len(options))]
-                node = next_id
-                next_id += 1
-                layout[node] = cell
-                occupied.add(cell)
-                degree[node] = 1
-                degree[host] += 1
-                edges.append((host, node))
-                members.append(node)
-            if stuck:
-                break
-            chunks.append(tuple(members))
-        if not stuck:
-            return edges, layout, chunks
-    raise UnplaceableConfigurationError(
-        f"could not assemble a {n}-node tree from size-{chunk_size} chunks "
-        f"after {attempts} attempts")
-
-
 def random_tree_configuration(size: int, seed: int, max_degree: int = 3,
                               config_id: int = 0) -> Configuration:
     """A bare random tree configuration (no poses), for embedding benchmarks."""

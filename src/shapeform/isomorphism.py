@@ -339,41 +339,6 @@ class _PairSearch:
         return out
 
 
-def enumerate_full_embeddings(config: Configuration, target: TargetConfiguration,
-                              values: Mapping[int, float],
-                              max_embeddings: int = 20) -> list[Embedding]:
-    """Up to ``max_embeddings`` distinct whole-configuration embeddings.
-
-    Distinct mappings count separately even when they cover the same spots
-    (two orientations of one image differ in utility).  Empty result means
-    no full embedding exists.
-    """
-    if not config.member_ids or not target.spots:
-        return []
-    if len(config.member_ids) > len(target.spots):
-        return []
-    search = _PairSearch(config, TargetStates(target, values))
-    return search.collect(len(config.member_ids), FULL, max_embeddings)
-
-
-def enumerate_mcs_embeddings(config: Configuration, target: TargetConfiguration,
-                             values: Mapping[int, float],
-                             max_embeddings: int = 20) -> list[Embedding]:
-    """Up to ``max_embeddings`` maximum common subtree embeddings.
-
-    All returned embeddings share the maximum achievable size; the mapped
-    modules always form a connected piece of the configuration.  Handles
-    configurations larger than the target by the same recursion (the size
-    is then capped by the spot count).
-    """
-    if not config.member_ids or not target.spots:
-        raise DegenerateInputError("embedding requires a non-empty configuration and target")
-    search = _PairSearch(config, TargetStates(target, values))
-    k_max = search.max_common_size()
-    kind = MCS if k_max < len(config.member_ids) else FULL
-    return search.collect(k_max, kind, max_embeddings)
-
-
 def best_embeddings(config: Configuration, states: TargetStates, max_embeddings: int = 20,
                     held: frozenset[int] = frozenset()) -> list[Embedding]:
     """Full embeddings when any exist, else maximum common subtree embeddings,

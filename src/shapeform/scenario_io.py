@@ -231,7 +231,6 @@ def result_to_dict(result: "PlanResult") -> dict:
         "metrics": {
             "planning_wall_time_s": m.planning_wall_time,
             "broadcast_count": m.broadcast_count,
-            "point_to_point_count": m.point_to_point_count,
             "total_distance": m.total_distance,
             "disconnection_count": m.disconnection_count,
             "total_utility": m.total_utility,

@@ -29,10 +29,6 @@ from .model import Scenario, ScenarioIndex, planar_distance
 from .utility import module_spot_utility, preserved_links, retention_reward
 
 
-class IncompleteAllocationError(ValueError):
-    """Acting requested before every spot was selected."""
-
-
 class HoleDetectedError(RuntimeError):
     """A spot ended up unoccupied after acting; signals an engine bug."""
 
@@ -41,7 +37,6 @@ class HoleDetectedError(RuntimeError):
 class RunMetrics:
     planning_wall_time: float
     broadcast_count: int
-    point_to_point_count: int
     total_distance: float
     disconnection_count: int
     total_utility: float
@@ -94,19 +89,6 @@ def _spot_schedule(index: ScenarioIndex, values: Mapping[int, float]) -> tuple[i
     return tuple(schedule)
 
 
-def acting_schedule(result: PlanResult, index: Optional[ScenarioIndex] = None,
-                    values: Optional[Mapping[int, float]] = None) -> tuple[int, ...]:
-    """Occupation order for a completed allocation; every spot after the
-    first is adjacent to an earlier one."""
-    if not result.complete:
-        raise IncompleteAllocationError("acting requires every spot to be selected")
-    if index is None:
-        index = ScenarioIndex.build(result.scenario)
-    if values is None:
-        values = spot_values(result.scenario.target)
-    return _spot_schedule(index, values)
-
-
 def run_planning(scenario: Scenario) -> PlanResult:
     """Run the full planning phase and return allocation, log and metrics.
 
@@ -134,7 +116,6 @@ def run_planning(scenario: Scenario) -> PlanResult:
     metrics = RunMetrics(
         planning_wall_time=planning_time,
         broadcast_count=len(state.event_log),
-        point_to_point_count=len(state.event_log) * (index.n_modules - 1),
         total_distance=0.0,
         disconnection_count=len(state.disconnections),
         total_utility=_total_utility(ctx, state),
@@ -181,7 +162,6 @@ def simulate_acting(result: PlanResult, schedule: Optional[tuple[int, ...]] = No
         result.metrics,
         total_distance=total_distance,
         broadcast_count=len(result.event_log),
-        point_to_point_count=len(result.event_log) * (index.n_modules - 1),
     )
     result.metrics = metrics
     return metrics

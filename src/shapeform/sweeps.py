@@ -14,42 +14,25 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .auction import AuctionParams, auction_assign, singleton_utility_matrix
 from .generate import GenParams, generate_scenario, random_tree_configuration
 from .isomorphism import TargetStates, best_embeddings
 from .metrics import spot_values
-from .model import AlgoParams, CostParams, ScenarioIndex, planar_distance
+from .model import AlgoParams, CostParams, Scenario, ScenarioIndex, planar_distance
 from .scenario_io import load_scenario
 from .simulate import run_planning, run_scenario
-
-SWEEP_KINDS = ("planning_time", "distance", "messages", "table1", "auction_compare",
-               "mcs_time")
-
-_COLUMNS = {
-    "planning_time": ["n_modules", "planning_time_s_mean", "planning_time_s_std"],
-    "distance": ["n_modules", "total_distance_units_mean", "total_distance_units_std"],
-    "messages": ["n_modules", "broadcasts_mean", "broadcasts_std",
-                 "point_to_point_mean", "point_to_point_std"],
-    "table1": ["config_size", "planning_time_s_mean", "planning_time_s_std",
-               "disconnections_mean", "disconnections_std"],
-    "auction_compare": ["n_modules", "algorithm", "planning_time_s_mean",
-                        "planning_time_s_std", "total_distance_units_mean",
-                        "total_distance_units_std", "broadcasts_mean", "broadcasts_std"],
-    "mcs_time": ["config_size", "enumeration_time_s_mean", "enumeration_time_s_std"],
-}
 
 
 @dataclass(frozen=True)
 class SweepParams:
-    points: tuple[int, ...] = (10, 25, 50, 100)
+    points: tuple[int, ...] | None = None  # None: the kind's default grid
     runs: int = 50
     seed: int = 0
-    table_sizes: tuple[int, ...] = (10, 20, 25, 50)
-    table_spots: int = 100
-    mcs_sizes: tuple[int, ...] = tuple(range(2, 11))
-    mcs_spots: int = 100
+    spots: int = 100  # spot count for table1 and mcs_time
     cost_params: CostParams = CostParams()
     algo_params: AlgoParams = AlgoParams()
 
@@ -102,122 +85,109 @@ def _stats(xs) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
+def _scenario(params: SweepParams, **gen) -> Scenario:
+    return generate_scenario(GenParams(cost_params=params.cost_params,
+                                       algo_params=params.algo_params, **gen))
+
+
+def _distance(index: ScenarioIndex, assignment: dict[int, int]) -> float:
+    """Total straight-line travel of a spot id -> module id assignment."""
+    return sum(planar_distance(index.module_by_id[m].pose, index.spot_by_id[s].pose)
+               for s, m in assignment.items())
+
+
+def _measure_scaling(n: int, seed: int, params: SweepParams) -> dict:
+    metrics = run_scenario(_scenario(params, n_spots=n, seed=seed)).metrics
+    return {"planning_time_s": metrics.planning_wall_time,
+            "broadcasts": metrics.broadcast_count,
+            "total_distance_units": metrics.total_distance,
+            "disconnections": metrics.disconnection_count,
+            "total_utility": metrics.total_utility}
+
+
+def _measure_table1(size: int, seed: int, params: SweepParams) -> dict:
+    metrics = run_planning(_scenario(params, n_spots=params.spots, equal_config_size=size,
+                                     seed=seed)).metrics
+    return {"planning_time_s": metrics.planning_wall_time,
+            "disconnections": metrics.disconnection_count}
+
+
+def _measure_auction(n: int, seed: int, params: SweepParams) -> dict:
+    """Planner against the auction on one singleton-only scenario.  Planner
+    broadcasts come from the planning phase alone, as the auction has no
+    acting phase; auction time includes building its utility matrix."""
+    scenario = _scenario(params, n_spots=n, singletons_only=True, seed=seed)
+    result = run_planning(scenario)
+    index = ScenarioIndex.build(scenario)
+    values = spot_values(scenario.target)
+    started = time.perf_counter()
+    module_ids, spot_ids, matrix = singleton_utility_matrix(index, values)
+    auction = auction_assign(module_ids, spot_ids, matrix, AuctionParams())
+    auction_time = time.perf_counter() - started
+    return {"planner_time_s": result.metrics.planning_wall_time,
+            "planner_distance_units": _distance(index, result.allocation),
+            "planner_broadcasts": result.metrics.broadcast_count,
+            "auction_time_s": auction_time,
+            "auction_distance_units": _distance(index, auction.assignment),
+            "auction_broadcasts": auction.broadcast_count}
+
+
+def _measure_mcs_time(size: int, seed: int, params: SweepParams) -> dict:
+    scenario = _scenario(params, n_spots=params.spots, seed=seed)
+    config = random_tree_configuration(size, seed + 1, params.algo_params.max_degree)
+    values = spot_values(scenario.target)
+    started = time.perf_counter()
+    best_embeddings(config, TargetStates(scenario.target, values),
+                    params.algo_params.max_embeddings)
+    return {"enumeration_time_s": time.perf_counter() - started}
+
+
+class _Kind(NamedTuple):
+    point: str  # name of the point column
+    grid: tuple[int, ...]  # points swept when SweepParams.points is None
+    measured: tuple[str, ...]  # keys of measure's dict, reported as mean and std
+    measure: Callable[[int, int, SweepParams], dict]  # (point, seed, params)
+
+
+_KINDS = {
+    "scaling": _Kind("n_modules", (10, 25, 50, 100),
+                     ("planning_time_s", "broadcasts", "total_distance_units",
+                      "disconnections", "total_utility"), _measure_scaling),
+    "table1": _Kind("config_size", (10, 20, 25, 50),
+                    ("planning_time_s", "disconnections"), _measure_table1),
+    "auction_compare": _Kind("n_modules", (25, 50, 100),
+                             ("planner_time_s", "planner_distance_units", "planner_broadcasts",
+                              "auction_time_s", "auction_distance_units",
+                              "auction_broadcasts"), _measure_auction),
+    "mcs_time": _Kind("config_size", tuple(range(2, 11)), ("enumeration_time_s",),
+                      _measure_mcs_time),
+}
+SWEEP_KINDS = tuple(_KINDS)
+
+
 def run_sweep(kind: str, params: SweepParams = SweepParams()) -> SweepReport:
-    if kind not in SWEEP_KINDS:
+    """Measure ``params.runs`` seeded runs at every point of the kind's grid
+    (or ``params.points``) and report one mean/std row per point."""
+    if kind not in _KINDS:
         raise ValueError(f"unknown sweep kind '{kind}' (expected one of {SWEEP_KINDS})")
-    report = SweepReport(kind=kind, columns=list(_COLUMNS[kind]), rows=[],
-                         runs=params.runs, seed=params.seed)
-    handler = {
-        "planning_time": _sweep_metric,
-        "distance": _sweep_metric,
-        "messages": _sweep_metric,
-        "table1": _sweep_table1,
-        "auction_compare": _sweep_auction,
-        "mcs_time": _sweep_mcs_time,
-    }[kind]
-    handler(kind, params, report)
-    return report
-
-
-def _sweep_metric(kind: str, params: SweepParams, report: SweepReport) -> None:
-    for n in params.points:
-        plan_times, distances, broadcasts, p2p = [], [], [], []
+    spec = _KINDS[kind]
+    columns = [spec.point] + [f"{name}_{stat}" for name in spec.measured
+                              for stat in ("mean", "std")]
+    report = SweepReport(kind=kind, columns=columns, rows=[], runs=params.runs,
+                         seed=params.seed)
+    for point in spec.grid if params.points is None else params.points:
+        samples: dict[str, list] = {name: [] for name in spec.measured}
         for run in range(params.runs):
-            seed = _run_seed(params.seed, kind, n, run)
             try:
-                scenario = generate_scenario(GenParams(
-                    n_spots=n, seed=seed, cost_params=params.cost_params,
-                    algo_params=params.algo_params))
-                result = run_scenario(scenario)
+                measured = spec.measure(point, _run_seed(params.seed, kind, point, run), params)
             except Exception as exc:  # noqa: BLE001 - recorded, not dropped
-                report.failures.append((n, run, repr(exc)))
+                report.failures.append((point, run, repr(exc)))
                 continue
-            plan_times.append(result.metrics.planning_wall_time)
-            distances.append(result.metrics.total_distance)
-            broadcasts.append(result.metrics.broadcast_count)
-            p2p.append(result.metrics.point_to_point_count)
-        if kind == "planning_time":
-            report.rows.append((n, *_stats(plan_times)))
-        elif kind == "distance":
-            report.rows.append((n, *_stats(distances)))
-        else:
-            report.rows.append((n, *_stats(broadcasts), *_stats(p2p)))
-
-
-def _sweep_table1(kind: str, params: SweepParams, report: SweepReport) -> None:
-    for size in params.table_sizes:
-        plan_times, disconnections = [], []
-        for run in range(params.runs):
-            seed = _run_seed(params.seed, kind, size, run)
-            try:
-                scenario = generate_scenario(GenParams(
-                    n_spots=params.table_spots, equal_config_size=size, seed=seed,
-                    cost_params=params.cost_params, algo_params=params.algo_params))
-                result = run_planning(scenario)
-            except Exception as exc:  # noqa: BLE001
-                report.failures.append((size, run, repr(exc)))
-                continue
-            plan_times.append(result.metrics.planning_wall_time)
-            disconnections.append(result.metrics.disconnection_count)
-        report.rows.append((size, *_stats(plan_times), *_stats(disconnections)))
-
-
-def _sweep_auction(kind: str, params: SweepParams, report: SweepReport) -> None:
-    for n in params.points:
-        ours = {"time": [], "distance": [], "broadcasts": []}
-        theirs = {"time": [], "distance": [], "broadcasts": []}
-        for run in range(params.runs):
-            seed = _run_seed(params.seed, kind, n, run)
-            try:
-                scenario = generate_scenario(GenParams(
-                    n_spots=n, singletons_only=True, seed=seed,
-                    cost_params=params.cost_params, algo_params=params.algo_params))
-                result = run_planning(scenario)
-                index = ScenarioIndex.build(scenario)
-                values = spot_values(scenario.target)
-                started = time.perf_counter()
-                module_ids, spot_ids, matrix = singleton_utility_matrix(index, values)
-                auction = auction_assign(module_ids, spot_ids, matrix, AuctionParams())
-                auction_time = time.perf_counter() - started
-            except Exception as exc:  # noqa: BLE001
-                report.failures.append((n, run, repr(exc)))
-                continue
-            ours["time"].append(result.metrics.planning_wall_time)
-            ours["distance"].append(sum(
-                planar_distance(index.module_by_id[m].pose, index.spot_by_id[s].pose)
-                for s, m in result.allocation.items()))
-            ours["broadcasts"].append(result.metrics.broadcast_count)
-            theirs["time"].append(auction_time)
-            theirs["distance"].append(sum(
-                planar_distance(index.module_by_id[m].pose, index.spot_by_id[s].pose)
-                for s, m in auction.assignment.items()))
-            theirs["broadcasts"].append(auction.broadcast_count)
-        report.rows.append((n, "spot_allocation", *_stats(ours["time"]),
-                            *_stats(ours["distance"]), *_stats(ours["broadcasts"])))
-        report.rows.append((n, "auction", *_stats(theirs["time"]),
-                            *_stats(theirs["distance"]), *_stats(theirs["broadcasts"])))
-
-
-def _sweep_mcs_time(kind: str, params: SweepParams, report: SweepReport) -> None:
-    for size in params.mcs_sizes:
-        times = []
-        for run in range(params.runs):
-            seed = _run_seed(params.seed, kind, size, run)
-            try:
-                scenario = generate_scenario(GenParams(
-                    n_spots=params.mcs_spots, seed=seed,
-                    cost_params=params.cost_params, algo_params=params.algo_params))
-                config = random_tree_configuration(
-                    size, seed + 1, params.algo_params.max_degree)
-                values = spot_values(scenario.target)
-                started = time.perf_counter()
-                best_embeddings(config, TargetStates(scenario.target, values),
-                                params.algo_params.max_embeddings)
-                times.append(time.perf_counter() - started)
-            except Exception as exc:  # noqa: BLE001
-                report.failures.append((size, run, repr(exc)))
-                continue
-        report.rows.append((size, *_stats(times)))
+            for name in spec.measured:
+                samples[name].append(measured[name])
+        report.rows.append((point, *(x for name in spec.measured
+                                     for x in _stats(samples[name]))))
+    return report
 
 
 @dataclass
@@ -231,7 +201,8 @@ class CaseReport:
 
 def run_cases(case_dir: str | Path) -> CaseReport:
     """Run every scenario file in the directory and compare against the
-    recorded expectations (expectations.json)."""
+    recorded expectations (expectations.json).  A file that the
+    expectations do not list must still plan to completion."""
     case_dir = Path(case_dir)
     expectations_path = case_dir / "expectations.json"
     expectations = {}
@@ -239,9 +210,8 @@ def run_cases(case_dir: str | Path) -> CaseReport:
         expectations = json.loads(expectations_path.read_text())
     rows = []
     all_ok = True
-    names = sorted(expectations) if expectations else sorted(
-        p.name for p in case_dir.glob("*.json") if p.name != "expectations.json")
-    for name in names:
+    files = {p.name for p in case_dir.glob("*.json") if p.name != "expectations.json"}
+    for name in sorted(files | set(expectations)):
         path = case_dir / name
         if not path.exists():
             raise FileNotFoundError(f"case file {path} is listed but missing")

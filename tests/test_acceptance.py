@@ -15,7 +15,7 @@ import pytest
 from shapeform.auction import AuctionParams, auction_assign, optimal_assignment, \
     singleton_utility_matrix
 from shapeform.generate import GenParams, generate_scenario
-from shapeform.isomorphism import enumerate_full_embeddings, enumerate_mcs_embeddings
+from shapeform.isomorphism import FULL, TargetStates, best_embeddings
 from shapeform.metrics import spot_values
 from shapeform.model import AlgoParams, ScenarioIndex
 from shapeform.simulate import run_planning, run_scenario
@@ -116,15 +116,14 @@ def test_isomorphism_matches_brute_force():
         target_edges = tree_edges_from_seed(tn, rng.randrange(10 ** 6))
         config = config_from_edges(range(cn), config_edges)
         target = target_from_edges(tn, target_edges)
-        values = spot_values(target)
-        found = enumerate_full_embeddings(config, target, values, UNBOUNDED)
+        best = best_embeddings(config, TargetStates(target, spot_values(target)), UNBOUNDED)
+        found = [e for e in best if e.kind == FULL]
         expected = brute_full_embeddings(adjacency(cn, config_edges),
                                          adjacency(tn, target_edges))
         assert {frozenset(e.mapping.items()) for e in found} == expected
         assert len(found) == len(expected)
         full_checked += 1
         if cn <= 7 and tn <= 7:
-            best = enumerate_mcs_embeddings(config, target, values, UNBOUNDED)
             target_size = brute_mcs_size(adjacency(cn, config_edges),
                                          adjacency(tn, target_edges))
             assert best and best[0].size == target_size

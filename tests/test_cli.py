@@ -39,7 +39,7 @@ def test_run_with_dmax_override(tmp_path):
 def test_sweep_csv_output(tmp_path):
     runner = CliRunner()
     out = tmp_path / "sweep.csv"
-    result = runner.invoke(main, ["sweep", "planning_time", "--points", "6",
+    result = runner.invoke(main, ["sweep", "scaling", "--points", "6",
                                   "--runs", "2", "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_text().startswith("n_modules,")
@@ -48,7 +48,7 @@ def test_sweep_csv_output(tmp_path):
 def test_sweep_table1_json(tmp_path):
     runner = CliRunner()
     out = tmp_path / "table.json"
-    result = runner.invoke(main, ["sweep", "table1", "--sizes", "4", "--spots", "12",
+    result = runner.invoke(main, ["sweep", "table1", "--points", "4", "--spots", "12",
                                   "--runs", "2", "--format", "json",
                                   "--out", str(out)])
     assert result.exit_code == 0, result.output
@@ -62,15 +62,6 @@ def test_cases_command(tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads(out.read_text())
     assert report["all_ok"]
-
-
-def test_compare_auction_command(tmp_path):
-    runner = CliRunner()
-    out = tmp_path / "cmp.csv"
-    result = runner.invoke(main, ["compare-auction", "--points", "6", "--runs", "1",
-                                  "--out", str(out)])
-    assert result.exit_code == 0, result.output
-    assert "spot_allocation" in out.read_text()
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

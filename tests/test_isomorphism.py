@@ -12,8 +12,6 @@ from shapeform.isomorphism import (
     _PairSearch,
     best_embeddings,
     check_embedding,
-    enumerate_full_embeddings,
-    enumerate_mcs_embeddings,
     order_embeddings,
 )
 from shapeform.metrics import spot_values
@@ -23,7 +21,6 @@ from shapeform.model import (
     Pose,
     Scenario,
     ScenarioIndex,
-    TargetConfiguration,
     validate_scenario,
 )
 from shapeform.simulate import run_scenario
@@ -57,6 +54,11 @@ def states_for(target):
     return TargetStates(target, spot_values(target))
 
 
+def full_embeddings(config, target, cap):
+    """The full embeddings best_embeddings finds, or [] when there are none."""
+    return [e for e in best_embeddings(config, states_for(target), cap) if e.kind == FULL]
+
+
 def star_config(leaves, first_id=0):
     center = first_id
     members = [center] + [first_id + i for i in range(1, leaves + 1)]
@@ -67,7 +69,7 @@ def star_config(leaves, first_id=0):
 def test_two_module_config_into_three_path():
     target = path_target(3)
     config = config_from_edges([10, 11], [(10, 11)])
-    found = enumerate_full_embeddings(config, target, values_for(target), UNBOUNDED)
+    found = full_embeddings(config, target, UNBOUNDED)
     assert len(found) == 4
     images = {frozenset(e.mapping.values()) for e in found}
     assert images == {frozenset({0, 1}), frozenset({1, 2})}
@@ -77,20 +79,20 @@ def test_two_module_config_into_three_path():
 def test_identical_paths_two_orientations():
     target = path_target(5)
     config = config_from_edges(range(5), [(i - 1, i) for i in range(1, 5)])
-    found = enumerate_full_embeddings(config, target, values_for(target), UNBOUNDED)
+    found = full_embeddings(config, target, UNBOUNDED)
     assert len(found) == 2
 
 
 def test_star_into_path_has_no_full_embedding():
     target = path_target(6)
     config = star_config(3)
-    assert enumerate_full_embeddings(config, target, values_for(target), UNBOUNDED) == []
+    assert full_embeddings(config, target, UNBOUNDED) == []
 
 
 def test_star_mcs_into_path_leaves_one_module():
     target = path_target(5)
     config = star_config(3)  # 4 modules, degree-3 center
-    found = enumerate_mcs_embeddings(config, target, values_for(target), UNBOUNDED)
+    found = best_embeddings(config, states_for(target), UNBOUNDED)
     assert found
     assert all(e.kind == MCS and e.size == 3 for e in found)
 
@@ -98,17 +100,15 @@ def test_star_mcs_into_path_leaves_one_module():
 def test_config_larger_than_target_maps_partially():
     target = path_target(3)
     config = config_from_edges(range(5), [(i - 1, i) for i in range(1, 5)])
-    found = enumerate_mcs_embeddings(config, target, values_for(target), UNBOUNDED)
+    found = best_embeddings(config, states_for(target), UNBOUNDED)
     assert found
     assert all(e.size == 3 for e in found)
-    assert enumerate_full_embeddings(config, target, values_for(target), UNBOUNDED) == []
+    assert full_embeddings(config, target, UNBOUNDED) == []
 
 
 def test_degenerate_inputs_raise():
     target = path_target(2)
     config = config_from_edges([0, 1], [(0, 1)])
-    with pytest.raises(DegenerateInputError):
-        enumerate_mcs_embeddings(config, TargetConfiguration(spots=()), {}, 5)
     with pytest.raises(DegenerateInputError):
         best_embeddings(Configuration(id=0, member_ids=(), edges=frozenset(),
                                       leader_id=0), states_for(target), 5)
@@ -121,7 +121,7 @@ def test_extra_leaf_blocked_by_degree_drops_one():
     target = path_target(6)
     edges = [(0, 1), (1, 2), (2, 3), (1, 4)]
     config = config_from_edges(range(5), edges)
-    found = enumerate_mcs_embeddings(config, target, values_for(target), UNBOUNDED)
+    found = best_embeddings(config, states_for(target), UNBOUNDED)
     assert found
     assert all(e.size == 4 for e in found)
 
@@ -129,9 +129,9 @@ def test_extra_leaf_blocked_by_degree_drops_one():
 def test_max_embeddings_caps_output():
     target = path_target(8)
     config = config_from_edges([0, 1], [(0, 1)])
-    capped = enumerate_full_embeddings(config, target, values_for(target), 5)
+    capped = full_embeddings(config, target, 5)
     assert len(capped) == 5
-    everything = enumerate_full_embeddings(config, target, values_for(target), UNBOUNDED)
+    everything = full_embeddings(config, target, UNBOUNDED)
     assert len(everything) == 14  # 7 edges, two orientations each
     assert [e.mapping for e in capped] == [e.mapping for e in everything[:5]]
 
@@ -142,7 +142,7 @@ def test_full_embeddings_match_brute_force(config_tree, target_tree):
     tn, target_edges = target_tree
     config = config_from_edges(range(cn), config_edges)
     target = target_from_edges(tn, target_edges)
-    found = enumerate_full_embeddings(config, target, values_for(target), UNBOUNDED)
+    found = full_embeddings(config, target, UNBOUNDED)
     got = {frozenset(e.mapping.items()) for e in found}
     expected = brute_full_embeddings(adjacency(cn, config_edges),
                                      adjacency(tn, target_edges))
@@ -155,7 +155,7 @@ def assert_mcs_size_matches_brute_force(config_tree, target_tree):
     tn, target_edges = target_tree
     config = config_from_edges(range(cn), config_edges)
     target = target_from_edges(tn, target_edges)
-    found = enumerate_mcs_embeddings(config, target, values_for(target), UNBOUNDED)
+    found = best_embeddings(config, states_for(target), UNBOUNDED)
     expected = brute_mcs_size(adjacency(cn, config_edges), adjacency(tn, target_edges))
     assert found
     assert found[0].size == expected
@@ -309,7 +309,7 @@ def test_order_embeddings_by_utility_then_spot_sum():
         target=target))
     index = ScenarioIndex.build(scenario)
     values = values_for(target)
-    embeddings = enumerate_full_embeddings(config, target, values, UNBOUNDED)
+    embeddings = full_embeddings(config, target, UNBOUNDED)
     ordered = order_embeddings(embeddings, values, index)
     from shapeform.utility import block_utility
     utilities = [block_utility(e.mapping, values, index) for e in ordered]

@@ -23,8 +23,6 @@ from shapeform.model import (
 )
 from shapeform.simulate import (
     HoleDetectedError,
-    IncompleteAllocationError,
-    acting_schedule,
     run_planning,
     run_scenario,
     simulate_acting,
@@ -136,7 +134,6 @@ def test_message_accounting_by_log_replay(seed):
     assert counts[OCCUPIED_BROADCAST] == len(scenario.target.spots)
     total = sum(counts.values())
     assert result.metrics.broadcast_count == total
-    assert result.metrics.point_to_point_count == total * (n_modules - 1)
     assert counts.get(DISCONNECT, 0) == result.metrics.disconnection_count
     ticks = [e.tick for e in result.event_log]
     assert ticks == list(range(len(ticks)))
@@ -162,7 +159,7 @@ def test_schedule_neighbor_precedes_property(scenario):
     assert result.complete
     index = ScenarioIndex.build(scenario)
     values = spot_values(scenario.target)
-    schedule = acting_schedule(result, index, values)
+    schedule = result.acting_schedule
     assert set(schedule) == set(index.spot_by_id)
     placed = {schedule[0]}
     best = max(values.values())
@@ -176,8 +173,7 @@ def test_acting_requires_complete_allocation():
     scenario = singleton_scenario([(0.0, 1.0)], path_target(3))
     result = run_planning(scenario)
     assert not result.complete
-    with pytest.raises(IncompleteAllocationError):
-        acting_schedule(result)
+    assert result.acting_schedule == ()
 
 
 def test_distance_sum_two_modules():

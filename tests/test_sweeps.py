@@ -1,27 +1,39 @@
 import csv
 import io
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
+from shapeform.scenario_io import save_scenario
 from shapeform.sweeps import SWEEP_KINDS, SweepParams, run_cases, run_sweep
 
+from conftest import path_target, singleton_scenario
+
 GOLDEN_HEADERS = {
-    "planning_time": ["n_modules", "planning_time_s_mean", "planning_time_s_std"],
-    "distance": ["n_modules", "total_distance_units_mean", "total_distance_units_std"],
-    "messages": ["n_modules", "broadcasts_mean", "broadcasts_std",
-                 "point_to_point_mean", "point_to_point_std"],
+    "scaling": ["n_modules", "planning_time_s_mean", "planning_time_s_std",
+                "broadcasts_mean", "broadcasts_std", "total_distance_units_mean",
+                "total_distance_units_std", "disconnections_mean", "disconnections_std",
+                "total_utility_mean", "total_utility_std"],
     "table1": ["config_size", "planning_time_s_mean", "planning_time_s_std",
                "disconnections_mean", "disconnections_std"],
-    "auction_compare": ["n_modules", "algorithm", "planning_time_s_mean",
-                        "planning_time_s_std", "total_distance_units_mean",
-                        "total_distance_units_std", "broadcasts_mean",
-                        "broadcasts_std"],
+    "auction_compare": ["n_modules", "planner_time_s_mean", "planner_time_s_std",
+                        "planner_distance_units_mean", "planner_distance_units_std",
+                        "planner_broadcasts_mean", "planner_broadcasts_std",
+                        "auction_time_s_mean", "auction_time_s_std",
+                        "auction_distance_units_mean", "auction_distance_units_std",
+                        "auction_broadcasts_mean", "auction_broadcasts_std"],
     "mcs_time": ["config_size", "enumeration_time_s_mean", "enumeration_time_s_std"],
 }
 
-SMALL = SweepParams(points=(6, 10), runs=2, seed=1, table_sizes=(4, 8),
-                    table_spots=16, mcs_sizes=(2, 3))
+SMALL = SweepParams(points=(4, 8), runs=2, seed=1, spots=16)
+
+
+def untimed(report):
+    """Rows without the wall-time columns, which vary from run to run."""
+    keep = [i for i, c in enumerate(report.columns) if "_time_s_" not in c]
+    return [tuple(row[i] for i in keep) for row in report.rows]
 
 
 @pytest.mark.parametrize("kind", SWEEP_KINDS)
@@ -39,42 +51,34 @@ def test_unknown_kind_rejected():
 
 
 def test_reports_reproducible_per_master_seed():
-    first = run_sweep("distance", SMALL)
-    second = run_sweep("distance", SMALL)
-    assert first.rows == second.rows
-    shifted = run_sweep("distance", SweepParams(points=(6, 10), runs=2, seed=99))
-    assert shifted.rows != first.rows
+    first = run_sweep("scaling", SMALL)
+    second = run_sweep("scaling", SMALL)
+    assert untimed(first) == untimed(second)
+    shifted = run_sweep("scaling", SweepParams(points=(4, 8), runs=2, seed=99))
+    assert untimed(shifted) != untimed(first)
 
 
 def test_row_counts_match_sweep_points():
-    report = run_sweep("planning_time", SMALL)
-    assert [r[0] for r in report.rows] == [6, 10]
-    table = run_sweep("table1", SMALL)
-    assert [r[0] for r in table.rows] == [4, 8]
-
-
-def test_auction_compare_rows_pair_up():
-    report = run_sweep("auction_compare", SweepParams(points=(8,), runs=2, seed=3))
-    algorithms = [r[1] for r in report.rows]
-    assert algorithms == ["spot_allocation", "auction"]
+    for kind in ("scaling", "table1"):
+        assert [r[0] for r in run_sweep(kind, SMALL).rows] == [4, 8]
 
 
 def test_failures_recorded_not_dropped():
-    bad = SweepParams(mcs_sizes=(1,), runs=2, seed=0)  # size-1 block is invalid
+    bad = SweepParams(points=(1,), runs=2, seed=0)  # size-1 block is invalid
     report = run_sweep("mcs_time", bad)
     assert len(report.failures) == 2
     assert report.rows  # the row still appears, with empty statistics
 
 
 def test_report_write_csv_and_json(tmp_path):
-    report = run_sweep("distance", SMALL)
+    report = run_sweep("scaling", SMALL)
     csv_path = tmp_path / "out.csv"
     json_path = tmp_path / "out.json"
     report.write(csv_path, "csv")
     report.write(json_path, "json")
     assert csv_path.read_text().startswith("n_modules,")
     parsed = json.loads(json_path.read_text())
-    assert parsed["kind"] == "distance"
+    assert parsed["kind"] == "scaling"
     assert parsed["runs"] == 2
 
 
@@ -97,11 +101,23 @@ def test_missing_case_file_raises(tmp_path):
         run_cases(tmp_path)
 
 
+def test_unlisted_case_file_is_run(tmp_path):
+    shutil.copy(Path("cases") / "case1_two_windows.json", tmp_path)
+    (tmp_path / "expectations.json").write_text(
+        json.dumps({"case1_two_windows.json": {"max_disconnections": 4}}))
+    # one module for three spots: the plan cannot complete
+    save_scenario(singleton_scenario([(0.0, 1.0)], path_target(3)), tmp_path / "short.json")
+    report = run_cases(tmp_path)
+    assert [row["case"] for row in report.rows] == ["case1_two_windows.json", "short.json"]
+    assert not report.rows[1]["complete"]
+    assert not report.all_ok
+
+
 def test_sweeps_reproduce_recorded_columns():
     """The deterministic columns of table1 and auction_compare, recorded from
     the four-loop sweeps that preceded the single runner; any change to the
     per-run seeds, the scenarios drawn or the summation order shows here."""
-    table = run_sweep("table1", SweepParams(table_sizes=(10, 25, 50), runs=4, seed=0))
+    table = run_sweep("table1", SweepParams(points=(10, 25, 50), runs=4, seed=0))
     assert not table.failures
     assert {r[0]: r[3:5] for r in table.rows} == {
         10: (1.0, 2.0),
@@ -110,13 +126,20 @@ def test_sweeps_reproduce_recorded_columns():
     }
     compare = run_sweep("auction_compare", SweepParams(points=(10, 25), runs=3, seed=0))
     assert not compare.failures
+    got = {}
+    for row in compare.rows:
+        cells = dict(zip(compare.columns, row))
+        for side in ("planner", "auction"):
+            got[(row[0], side)] = tuple(cells[f"{side}_{name}_{stat}"]
+                                        for name in ("distance_units", "broadcasts")
+                                        for stat in ("mean", "std"))
     # (distance mean, distance std, broadcasts mean, broadcasts std)
-    assert {(r[0], r[1]): r[4:8] for r in compare.rows} == {
-        (10, "spot_allocation"): (84.51356159915231, 20.736655327298426, 20.0, 0.0),
+    assert got == {
+        (10, "planner"): (84.51356159915231, 20.736655327298426, 20.0, 0.0),
         (10, "auction"): (84.35957983629082, 21.790839809018372,
                           14.333333333333334, 2.5166114784235836),
-        (25, "spot_allocation"): (156.89201945487105, 49.897280626546234,
-                                  51.333333333333336, 0.5773502691896258),
+        (25, "planner"): (156.89201945487105, 49.897280626546234,
+                          51.333333333333336, 0.5773502691896258),
         (25, "auction"): (149.93078303391036, 46.47036029765082,
                           79.33333333333333, 24.419937209856485),
     }
