@@ -5,7 +5,14 @@ event log and of its sorted allocation must match ``golden/digests.json``.
 A refactor that changes any selection, broadcast or tie-break fails here
 even when all two-runs-agree determinism tests still pass.
 
-Regenerate the file only for a change that is meant to alter planner
+A second lock, ``golden/embeddings.json``, pins the embedding enumeration
+itself: for a fixed seeded grid of ``best_embeddings`` calls it holds the
+SHA-256 of every result list, each embedding as ``[kind, sorted mapping
+items]`` in list order.  Plans only ever see the first few embeddings of a
+search; this grid also pins the order deep into the enumeration, under
+held spots, on maximum common subtree fallbacks and at every cap.
+
+Regenerate the files only for a change that is meant to alter planner
 behaviour, and say why in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py --write
@@ -15,12 +22,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from shapeform.generate import GenParams, generate_scenario
+from shapeform.generate import GenParams, generate_scenario, random_tree_configuration
+from shapeform.isomorphism import TargetStates, best_embeddings
+from shapeform.metrics import spot_values
 from shapeform.model import AlgoParams
 from shapeform.scenario_io import load_scenario
 from shapeform.simulate import run_scenario
@@ -28,6 +38,7 @@ from shapeform.simulate import run_scenario
 from conftest import chain_scenario
 
 GOLDEN_FILE = Path(__file__).parent / "golden" / "digests.json"
+EMBEDDINGS_FILE = Path(__file__).parent / "golden" / "embeddings.json"
 CASE_DIR = Path(__file__).resolve().parent.parent / "cases"
 
 GENERATED = {
@@ -95,6 +106,42 @@ def compute_all() -> dict[str, dict[str, str]]:
     return {name: digests(run_scenario(golden_scenario(name))) for name in scenario_names()}
 
 
+EMBEDDING_CAPS = (1, 3, 20, 200, 5000)
+EMBEDDING_CALLS = 150
+
+
+def embedding_call(i: int):
+    """Call ``i`` of the grid: a generated target of 5-60 spots and a random
+    tree configuration of 2-12 modules, each with a degree cap of 2-4, a
+    random held set of up to half the spots and one of the caps."""
+    rng = random.Random(i)
+    target_degree, config_degree = rng.choice((2, 3, 4)), rng.choice((2, 3, 4))
+    n_spots = rng.randint(5, 60)
+    target = generate_scenario(GenParams(
+        n_spots=n_spots, singletons_only=True, seed=i,
+        algo_params=AlgoParams(max_degree=target_degree))).target
+    size = rng.randint(2, 12)
+    config = random_tree_configuration(size, seed=i, max_degree=config_degree)
+    held = frozenset(rng.sample(sorted(s.id for s in target.spots), rng.randint(0, n_spots // 2)))
+    cap = EMBEDDING_CAPS[i % len(EMBEDDING_CAPS)]
+    name = (f"{i:03d}-spots{n_spots}d{target_degree}-config{size}d{config_degree}"
+            f"-held{len(held)}-cap{cap}")
+    return name, config, TargetStates(target, spot_values(target)), cap, held
+
+
+def embedding_digest(embeddings) -> str:
+    return hashlib.sha256(json.dumps(
+        [[e.kind, sorted(e.mapping.items())] for e in embeddings]).encode()).hexdigest()
+
+
+def compute_embeddings() -> dict[str, str]:
+    out = {}
+    for i in range(EMBEDDING_CALLS):
+        name, config, states, cap, held = embedding_call(i)
+        out[name] = embedding_digest(best_embeddings(config, states, cap, held))
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden() -> dict[str, dict[str, str]]:
     return json.loads(GOLDEN_FILE.read_text())
@@ -110,8 +157,13 @@ def test_digests_match_golden(name, golden):
     assert digests(run_scenario(golden_scenario(name))) == golden[name]
 
 
+def test_embedding_enumeration_matches_golden():
+    assert compute_embeddings() == json.loads(EMBEDDINGS_FILE.read_text())
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit("usage: PYTHONPATH=src python tests/test_golden.py --write")
     GOLDEN_FILE.write_text(json.dumps(compute_all(), indent=2, sort_keys=True) + "\n")
-    print(f"wrote {GOLDEN_FILE}")
+    EMBEDDINGS_FILE.write_text(json.dumps(compute_embeddings(), indent=2, sort_keys=True) + "\n")
+    print(f"wrote {GOLDEN_FILE} and {EMBEDDINGS_FILE}")

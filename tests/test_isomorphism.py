@@ -1,7 +1,7 @@
 import sys
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from shapeform.allocation import BLOCK_MEMBER
 from shapeform.isomorphism import (
@@ -39,6 +39,7 @@ from oracles import (
     available_forest,
     brute_full_embeddings,
     brute_mcs_size,
+    connected_subsets,
     is_edge_preserving,
     recursive_best,
 )
@@ -146,6 +147,26 @@ def test_full_embeddings_match_brute_force(config_tree, target_tree):
     got = {frozenset(e.mapping.items()) for e in found}
     expected = brute_full_embeddings(adjacency(cn, config_edges),
                                      adjacency(tn, target_edges))
+    assert got == expected
+    assert len(found) == len(got)  # no duplicates
+
+
+@given(random_trees(min_nodes=1, max_nodes=7), random_trees(min_nodes=1, max_nodes=7))
+def test_mcs_embeddings_match_brute_force(config_tree, target_tree):
+    """Without a full embedding the search returns every embedding of every
+    largest connected piece of the configuration, each exactly once."""
+    cn, config_edges = config_tree
+    tn, target_edges = target_tree
+    config = config_from_edges(range(cn), config_edges)
+    target = target_from_edges(tn, target_edges)
+    found = best_embeddings(config, states_for(target), UNBOUNDED)
+    assume(found[0].kind == MCS)
+    config_adj = adjacency(cn, config_edges)
+    target_adj = adjacency(tn, target_edges)
+    expected = set()
+    for piece in connected_subsets(config_adj, brute_mcs_size(config_adj, target_adj)):
+        expected |= brute_full_embeddings({v: config_adj[v] & piece for v in piece}, target_adj)
+    got = {frozenset(e.mapping.items()) for e in found}
     assert got == expected
     assert len(found) == len(got)  # no duplicates
 
