@@ -230,16 +230,10 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
     keep = ctx.utility(curr_id, curr_alt, state) + ctx.utility(block_id, contested, state)
     if not gain > keep:
         return False
+    # ``excluded`` drops block-held spots, so the holder is a singleton or None
     holder = state.selector_of(block_best)
-    if holder is None:
-        freed = True
-    elif state.selector_kind.get(holder) == SINGLETON:
-        freed = evict(block_id, holder, depth + 1, state, ctx, chain)
-    else:
-        freed = False  # block members are immovable
-    if freed:
-        freed_spot = state.unselect(block_id)
-        chain.append((block_id, freed_spot))
+    if holder is None or evict(block_id, holder, depth + 1, state, ctx, chain):
+        chain.append((block_id, state.unselect(block_id)))
         return True
     return False
 

@@ -122,13 +122,13 @@ def sweep(kind, points, n_spots, runs, seed, dmax, max_embeddings, out, fmt):
 @click.option("--out", type=str, default=None)
 def cases(case_dir, out):
     """Run the bundled formation cases and check recorded expectations."""
-    report = run_cases(case_dir)
+    path = _out_path(out, "cases_report.json")
+    report = run_cases(case_dir, path)
     for row in report.rows:
         click.echo(f"{row['case']}: planning={row['planning_time_s'] * 1000:.1f}ms "
                    f"disconnections={row['disconnections']} "
                    f"complete={row['complete']} ok={row['ok']}")
-    path = _out_path(out, "cases_report.json")
-    Path(path).write_text(report.to_json())
+    path.write_text(report.to_json())
     click.echo(f"wrote {path}")
     if not report.all_ok:
         raise SystemExit(1)

@@ -20,17 +20,20 @@ all target states in one numpy pass per child.  The DP is exact for any
 degree cap, and its values are integers, so no tie can flip.
 
 The enumerator walks only branches that the table says can reach the
-requested size, so it never dead-ends, and it runs from an explicit
-stack, so a long chain meets no recursion limit.  Search starts from
-target spots in descending value order and stops as soon as the
-embedding cap is hit.  A full embedding contains the smallest module id,
-and the enumerator only emits mappings whose smallest module is the
-root, so full-embedding search is rooted at that module alone.
+requested size, and it runs from an explicit stack, so a long chain
+meets no recursion limit.  The table ignores the enumerator's floor on
+module ids, so a maximum common subtree search rooted at any module but
+the smallest can still dead-end on sizes that only modules below the
+floor reach.  Search starts from target spots in descending value order
+and stops as soon as the embedding cap is hit.  A full embedding
+contains the smallest module id, and the enumerator only emits mappings
+whose smallest module is the root, so full search is rooted there alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -56,9 +59,6 @@ class Embedding:
     @property
     def size(self) -> int:
         return len(self.mapping)
-
-    def key(self) -> frozenset:
-        return frozenset(self.mapping.items())
 
 
 def check_embedding(mapping: Mapping[int, int],
@@ -120,8 +120,8 @@ class TargetStates:
 
 
 class _PairSearch:
-    """Table of rooted common-subtree sizes and memo of enumerated mappings
-    for one configuration and the target minus the ``held`` spots.
+    """Table of rooted common-subtree sizes, and the walk that enumerates
+    mappings from it, for one configuration and the target minus ``held``.
 
     Every slot entry whose child spot is held points at the sentinel, held
     spots are never roots, and the walks skip them as slots.  This equals a
@@ -145,9 +145,6 @@ class _PairSearch:
         # as an array for the DP and as a list for lookups
         self._table: dict[tuple[int, Optional[int]], np.ndarray] = {}
         self._value: dict[tuple[int, Optional[int]], list[int]] = {}
-        # state -> (cap used, list was complete, mappings); prefixes of the
-        # canonical enumeration order, safe to reuse for any smaller cap
-        self._enum: dict[tuple, tuple[int, bool, list[dict[int, int]]]] = {}
 
     def _build(self, c: int, pc: Optional[int]) -> list[int]:
         """Fill the table of configuration state (c, pc) and of every state
@@ -198,24 +195,19 @@ class _PairSearch:
         return value[self._state[(u, pu)]]
 
     def enumerate(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
-                  size: int, floor: int = -1, cap: int = 1 << 30) -> list[dict[int, int]]:
+                  size: int, floor: int, cap: int) -> list[dict[int, int]]:
         """Up to ``cap`` mappings of exactly ``size`` modules rooted at c -> u,
         in canonical order (skip branch first, then slots ascending, larger
-        child shares first).
+        child shares first).  A capped list is a prefix of the uncapped one.
 
         ``floor`` excludes modules with smaller ids; enumerating each root
         module with ``floor`` set to its own id makes it the minimum of every
         mapping it emits, so no mapping is ever produced twice across roots.
-        Results are memoized; a stored list is reusable when it was computed
-        with at least the requested cap or ran to completion.  Each state
-        that needs a search runs as a generator on an explicit stack and
-        yields the sub-enumerations it needs, so depth costs no recursion.
+        Each state that needs a search runs as a generator on an explicit
+        stack and yields the sub-enumerations it needs, so depth costs no
+        recursion.
         """
-        request = (c, pc, u, pu, size, floor, cap)
-        known = self._known(*request)
-        if known is not None:
-            return known
-        stack = [self._search(*request)]
+        stack = [self._search(c, pc, u, pu, size, floor, cap)]
         result = None
         while stack:
             try:
@@ -228,78 +220,42 @@ class _PairSearch:
                 result = None
         return result
 
-    def _known(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
-               size: int, floor: int, cap: int) -> Optional[list[dict[int, int]]]:
-        """The mappings of a state that needs no search (out of reach,
-        memoized or a single module), else None."""
-        if size < 1 or size > self.best(c, pc, u, pu):
-            return []
-        state = (c, pc, u, pu, size, floor)
-        hit = self._enum.get(state)
-        if hit is not None:
-            stored_cap, complete, mappings = hit
-            if complete or stored_cap >= cap:
-                return mappings[:cap]
-        if size == 1:
-            out = [{c: u}]
-            self._enum[state] = (cap, True, out)
-            return out
-        return None
-
     def _search(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
                 size: int, floor: int, cap: int):
         """Generator behind ``enumerate``: yields each sub-enumeration
         request, receives its mappings and returns this state's mappings."""
+        if size == 1:
+            return [{c: u}]
         children = [x for x in self.config_adj[c] if x != pc and x >= floor]
         slots = [y for y in self.states.target_adj[u] if y != pu and y not in self.held]
         caps = [[self.best(ci, c, uj, u) for uj in slots] for ci in children]
         suffix = [0] * (len(children) + 1)
         for i in range(len(children) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + (max(caps[i]) if slots else 0)
-        split_memo: dict[tuple[int, int, int], list[dict[int, int]]] = {}
 
-        def splits(i: int, remaining: int, used: int):
+        def splits(i: int, remaining: int, used: int, limit: int):
+            """Up to ``limit`` ways to place ``remaining`` modules below
+            children i.. on the slots outside ``used``."""
             if remaining > suffix[i]:
                 return []
             if i == len(children):
                 return [{}] if remaining == 0 else []
-            key = (i, remaining, used)
-            cached = split_memo.get(key)
-            if cached is not None:
-                return cached
-            res = list((yield from splits(i + 1, remaining, used)))  # child i stays behind
-            ci = children[i]
+            res = yield from splits(i + 1, remaining, used, limit)  # child i stays behind
+            ci, lo = children[i], max(1, remaining - suffix[i + 1])
             for j, uj in enumerate(slots):
-                if len(res) >= cap:
-                    break
                 if used & (1 << j):
                     continue
-                hi = min(caps[i][j], remaining)
-                lo = max(1, remaining - suffix[i + 1])
-                for s in range(hi, lo - 1, -1):
-                    rests = yield from splits(i + 1, remaining - s, used | (1 << j))
-                    if not rests:
-                        continue
-                    request = (ci, c, uj, u, s, floor, cap)
-                    heads = self._known(*request)
-                    if heads is None:
-                        heads = yield request
-                    for head in heads:
-                        for rest in rests:
-                            res.append({**head, **rest})
-                            if len(res) >= cap:
-                                break
-                        if len(res) >= cap:
-                            break
-                    if len(res) >= cap:
-                        break
-            res = res[:cap]
-            split_memo[key] = res
+                for s in range(min(caps[i][j], remaining), lo - 1, -1):
+                    if len(res) >= limit:
+                        return res
+                    room = limit - len(res)
+                    rests = yield from splits(i + 1, remaining - s, used | (1 << j), room)
+                    if rests:  # head-major product of child i's mappings and the rests
+                        heads = [{ci: uj}] if s == 1 else (yield (ci, c, uj, u, s, floor, room))
+                        res.extend(islice(({**h, **r} for h in heads for r in rests), room))
             return res
 
-        out = [{**part, c: u} for part in (yield from splits(0, size - 1, 0))]
-        self._enum[(c, pc, u, pu, size, floor)] = (cap, len(out) < cap, out)
-        return out
+        return [{**part, c: u} for part in (yield from splits(0, size - 1, 0, cap))]
 
     def max_common_size(self) -> int:
         """Size of the largest common subtree over every (module, spot) root."""
@@ -309,41 +265,39 @@ class _PairSearch:
         return max(int(self._table[(m, None)][roots].max()) for m in self.module_order)
 
     def collect(self, size: int, kind: str, limit: int) -> list[Embedding]:
-        """Gather up to ``limit`` distinct embeddings of the given size,
-        stopping as soon as the cap is reached.  Root spots are visited in
-        descending value order, every module serving as root in turn, so a
-        capped collection concentrates on the most valuable region first;
-        with a large enough limit every embedding is produced exactly once.
+        """Gather up to ``limit`` embeddings of the given size, stopping as
+        soon as the cap is reached.  Root spots are visited in descending
+        value order, every module serving as root in turn, so a capped
+        collection concentrates on the most valuable region first.
 
+        Each embedding is produced once: root m enumerates with ``floor`` m,
+        so m is the smallest module and ``mapping[m]`` the root spot of every
+        mapping it emits, and within one root a mapping has one derivation.
         A full embedding is rooted at the smallest module id only: every
         other root's ``floor`` excludes that module, so it cannot emit one.
         """
         roots = self.module_order[:1] if size == len(self.module_order) else self.module_order
         out: list[Embedding] = []
-        seen: set[frozenset] = set()
         for u in self.states.spot_order:
             if u in self.held:
                 continue
             for m in roots:
                 if self.best(m, None, u, None) < size:
                     continue
-                for mapping in self.enumerate(m, None, u, None, size, floor=m, cap=limit):
-                    key = frozenset(mapping.items())
-                    if key in seen:
-                        continue
-                    seen.add(key)
+                for mapping in self.enumerate(m, None, u, None, size, m, limit - len(out)):
                     check_embedding(mapping, self.config_adj, self.states.target_adj)
                     out.append(Embedding(mapping=mapping, kind=kind))
-                    if len(out) >= limit:
-                        return out
+                if len(out) >= limit:
+                    return out
         return out
 
 
 def best_embeddings(config: Configuration, states: TargetStates, max_embeddings: int = 20,
                     held: frozenset[int] = frozenset()) -> list[Embedding]:
     """Full embeddings when any exist, else maximum common subtree embeddings,
-    sharing one memo table across both phases.  Spots in ``held`` are left
-    out of the target, as if the search ran on the forest that remains."""
+    sharing one table of subtree sizes across both phases.  Spots in
+    ``held`` are left out of the target, as if the search ran on the forest
+    that remains."""
     available = len(states.target_adj) - len(held)
     if not config.member_ids or available < 1:
         raise DegenerateInputError("embedding requires a non-empty configuration and target")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Mapping
 
 from .allocation import (
     AllocationEvent,
@@ -132,16 +132,15 @@ def run_planning(scenario: Scenario) -> PlanResult:
     )
 
 
-def simulate_acting(result: PlanResult, schedule: Optional[tuple[int, ...]] = None) -> RunMetrics:
-    """Move modules to their spots in schedule order.
+def simulate_acting(result: PlanResult) -> RunMetrics:
+    """Move modules to their spots in the result's acting schedule order.
 
     Appends one OCCUPIED broadcast per spot, sums the straight-line travel
     distances and updates the result's metrics in place.  Raises
     ``HoleDetectedError`` if a scheduled spot has no selector, which cannot
     happen when modules outnumber spots.
     """
-    if schedule is None:
-        schedule = result.acting_schedule
+    schedule = result.acting_schedule
     index = ScenarioIndex.build(result.scenario)
     tick = len(result.event_log)
     total_distance = 0.0

@@ -199,10 +199,11 @@ class CaseReport:
         return json.dumps({"cases": self.rows, "all_ok": self.all_ok}, indent=2)
 
 
-def run_cases(case_dir: str | Path) -> CaseReport:
+def run_cases(case_dir: str | Path, report_path: str | Path | None = None) -> CaseReport:
     """Run every scenario file in the directory and compare against the
     recorded expectations (expectations.json).  A file that the
-    expectations do not list must still plan to completion."""
+    expectations do not list must still plan to completion.  The file at
+    ``report_path``, where the caller writes the report, is no case."""
     case_dir = Path(case_dir)
     expectations_path = case_dir / "expectations.json"
     expectations = {}
@@ -210,7 +211,10 @@ def run_cases(case_dir: str | Path) -> CaseReport:
         expectations = json.loads(expectations_path.read_text())
     rows = []
     all_ok = True
-    files = {p.name for p in case_dir.glob("*.json") if p.name != "expectations.json"}
+    skip = {expectations_path.resolve()}
+    if report_path is not None:
+        skip.add(Path(report_path).resolve())
+    files = {p.name for p in case_dir.glob("*.json") if p.resolve() not in skip}
     for name in sorted(files | set(expectations)):
         path = case_dir / name
         if not path.exists():

@@ -1,4 +1,6 @@
 import json
+import shutil
+from pathlib import Path
 
 from click.testing import CliRunner
 
@@ -62,6 +64,25 @@ def test_cases_command(tmp_path):
     assert result.exit_code == 0, result.output
     report = json.loads(out.read_text())
     assert report["all_ok"]
+
+
+def test_cases_command_twice_inside_case_dir(tmp_path, monkeypatch):
+    """The default report lands in the case directory; a second run must not
+    plan it as a case."""
+    case_dir = tmp_path / "cases"
+    shutil.copytree(Path(__file__).resolve().parent.parent / "cases", case_dir)
+    monkeypatch.chdir(case_dir)
+    monkeypatch.delenv("SHAPEFORM_OUT_DIR", raising=False)
+    runner = CliRunner()
+    rows = []
+    for _ in range(2):
+        result = runner.invoke(main, ["cases", "."])
+        assert result.exit_code == 0, result.output
+        report = json.loads((case_dir / "cases_report.json").read_text())
+        rows.append([{k: v for k, v in row.items() if k != "planning_time_s"}
+                     for row in report["cases"]])
+    assert len(rows[0]) == 8
+    assert rows[1] == rows[0]
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -202,7 +202,7 @@ def test_hole_detected_on_inconsistent_schedule():
     result = run_planning(scenario)
     result.allocation.pop(0)  # corrupt the allocation on purpose
     with pytest.raises(HoleDetectedError):
-        simulate_acting(result, schedule=(0, 1))
+        simulate_acting(result)  # the planned schedule (0, 1) reaches the popped spot 0
 
 
 def test_extra_modules_leave_no_spot_found():
