@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping, Optional
 
-from .isomorphism import Embedding, MCS, TargetStates, best_embeddings, order_embeddings
+from .isomorphism import Embedding, TargetStates, best_embeddings, order_embeddings
 from .metrics import target_center
 from .model import ScenarioIndex
 from .utility import module_spot_utility, preserved_links
@@ -188,9 +188,7 @@ class PlanContext:
 
 @dataclass
 class BlockResult:
-    config_id: int
     embedding: Optional[Embedding]
-    placed: dict[int, int]  # module id -> spot id
     disconnected: tuple[int, ...]
     evicted: tuple[int, ...]
 
@@ -212,10 +210,10 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
     once its own selection is recorded, or restores the pairs to roll the
     attempt back.
     """
-    if depth >= ctx.index.algo_params.max_eviction_depth:
-        return False
     if state.selector_kind.get(block_id) != SINGLETON:
         raise AllocationError(f"module {block_id} holds no singleton selection to evict")
+    if depth >= ctx.index.algo_params.max_eviction_depth:
+        return False
     contested = state.spot_of(block_id)
 
     def excluded(spot_id: int) -> bool:
@@ -250,15 +248,9 @@ def spot_allocation(module_id: int, state: AllocationState, ctx: PlanContext) ->
     actor = f"module:{module_id}"
     for spot_id in ctx.preference_order(module_id, state):
         holder = state.selector_of(spot_id)
-        if holder is None:
-            state.select(spot_id, module_id, SINGLETON)
-            state.log(actor, SELECTION_BROADCAST,
-                      {"selections": {str(spot_id): module_id}})
-            return spot_id
-        if state.selector_kind.get(holder) != SINGLETON:
-            continue
-        chain: list[tuple[int, int]] = []
-        if evict(module_id, holder, 0, state, ctx, chain):
+        chain: list[tuple[int, int]] = []  # stays empty when the spot is free
+        if holder is None or (state.selector_kind.get(holder) == SINGLETON
+                              and evict(module_id, holder, 0, state, ctx, chain)):
             state.select(spot_id, module_id, SINGLETON)
             for evicted_id, _ in reversed(chain):  # direct blocker first
                 spot_allocation(evicted_id, state, ctx)
@@ -267,16 +259,6 @@ def spot_allocation(module_id: int, state: AllocationState, ctx: PlanContext) ->
             return spot_id
     state.log(actor, NO_SPOT_FOUND, {"module": module_id})
     return None
-
-
-def _rerun_evicted(chains: list[list[tuple[int, int]]], state: AllocationState,
-                   ctx: PlanContext) -> list[int]:
-    evicted: list[int] = []
-    for chain in chains:
-        evicted.extend(module_id for module_id, _ in reversed(chain))
-    for module_id in evicted:
-        spot_allocation(module_id, state, ctx)
-    return evicted
 
 
 def _disconnect(module_id: int, config_id: int, remaining: set[int],
@@ -306,7 +288,7 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
 
     Candidate embeddings come from the part of the target not yet held by
     block members and are tried in descending block utility.  An embedding
-    commits only if every conflicting spot is freed by evicting its
+    commits only if every spot somebody holds is freed by evicting its
     singleton holder; eviction attempts of a rejected embedding are rolled
     back before the next one is tried.  If every embedding is blocked the
     best one is taken anyway: members whose spots cannot be freed are
@@ -317,8 +299,14 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
     index = ctx.index
     config = index.config_by_id[config_id]
     actor = f"configuration:{config_id}"
-    members = set(config.member_ids)
     remaining = set(config.member_ids)
+
+    def scatter(module_ids: list[int]) -> None:
+        """Disconnect the members, then let each select a spot alone."""
+        for module_id in module_ids:
+            _disconnect(module_id, config_id, remaining, state, ctx)
+        for module_id in module_ids:
+            spot_allocation(module_id, state, ctx)
 
     held = frozenset(s for s, m in state.selections.items()
                      if state.selector_kind[m] == BLOCK_MEMBER)
@@ -328,81 +316,50 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
                                      index.algo_params.max_embeddings, held)
     if not embeddings:
         # pathological: nothing in common with the target; scatter everyone
-        order = _center_distance_order(members, ctx)
-        for module_id in order:
-            _disconnect(module_id, config_id, remaining, state, ctx)
-        for module_id in order:
-            spot_allocation(module_id, state, ctx)
-        return BlockResult(config_id=config_id, embedding=None, placed={},
-                           disconnected=tuple(order), evicted=())
+        order = _center_distance_order(config.member_ids, ctx)
+        scatter(order)
+        return BlockResult(embedding=None, disconnected=tuple(order), evicted=())
     ordered = order_embeddings(embeddings, ctx.values, index)
 
-    def conflicts(embedding: Embedding) -> list[tuple[int, int]]:
-        # (spot, member) pairs whose spot somebody else holds, in spot order
-        return sorted((spot, module) for module, spot in embedding.mapping.items()
-                      if state.selector_of(spot) is not None)
-
-    def commit(embedding: Embedding, chains: list[list[tuple[int, int]]],
-               disconnected: list[int]) -> BlockResult:
-        placed = {m: s for m, s in embedding.mapping.items() if m not in disconnected}
-        for module_id, spot_id in sorted(placed.items()):
-            state.select(spot_id, module_id, BLOCK_MEMBER)
-        if placed:
-            state.log(actor, SELECTION_BROADCAST,
-                      {"selections": {str(s): m for m, s in sorted(placed.items())}})
-        evicted = _rerun_evicted(chains, state, ctx)
-        for module_id in disconnected:
-            _disconnect(module_id, config_id, remaining, state, ctx)
-        for module_id in disconnected:
-            spot_allocation(module_id, state, ctx)
-        unmatched: list[int] = []
-        if embedding.kind == MCS:
-            unmatched = _center_distance_order(members - set(embedding.mapping), ctx)
-            for module_id in unmatched:
-                _disconnect(module_id, config_id, remaining, state, ctx)
-            for module_id in unmatched:
-                spot_allocation(module_id, state, ctx)
-        return BlockResult(config_id=config_id, embedding=embedding, placed=placed,
-                           disconnected=tuple(disconnected) + tuple(unmatched),
-                           evicted=tuple(evicted))
-
-    for embedding in ordered:
+    # Every attempt but the last stops at the first holder that resists and
+    # is rolled back; the last re-attempts the best embedding and keeps
+    # going, collecting the members whose spots stay blocked.  Embeddings
+    # avoid block-held spots and eviction only unselects, so every holder
+    # met here is a singleton (``evict`` raises if not).
+    attempts = [*ordered, ordered[0]]
+    for number, embedding in enumerate(attempts, 1):
+        last = number == len(attempts)
         chains: list[list[tuple[int, int]]] = []
-        committable = True
-        for spot_id, member_id in conflicts(embedding):
+        blocked: list[int] = []
+        for member_id, spot_id in sorted(embedding.mapping.items(), key=lambda ms: ms[1]):
             holder = state.selector_of(spot_id)
             if holder is None:
-                continue  # already freed by an earlier chain of this attempt
-            if state.selector_kind.get(holder) != SINGLETON:
-                committable = False
-                break
+                continue  # free, or freed by an earlier chain of this attempt
             chain: list[tuple[int, int]] = []
             if evict(member_id, holder, 0, state, ctx, chain):
                 chains.append(chain)
+            elif last:
+                blocked.append(member_id)
             else:
-                committable = False
                 break
-        if committable:
-            return commit(embedding, chains, disconnected=[])
-        # roll the failed attempt back, most recent removal first
-        for chain in reversed(chains):
+        else:  # no holder resisted, or this is the last attempt: commit it
+            break
+        for chain in reversed(chains):  # roll back, most recent removal first
             for module_id, spot_id in reversed(chain):
                 state.select(spot_id, module_id, SINGLETON)
 
-    # Every embedding resisted: take the best one, shedding blocked members.
-    best = ordered[0]
-    chains = []
-    blocked: list[int] = []
-    for spot_id, member_id in conflicts(best):
-        holder = state.selector_of(spot_id)
-        if holder is None:
-            continue
-        if state.selector_kind.get(holder) != SINGLETON:
-            blocked.append(member_id)
-            continue
-        chain = []
-        if evict(member_id, holder, 0, state, ctx, chain):
-            chains.append(chain)
-        else:
-            blocked.append(member_id)
-    return commit(best, chains, disconnected=sorted(blocked))
+    placed = sorted((m, s) for m, s in embedding.mapping.items() if m not in blocked)
+    for module_id, spot_id in placed:
+        state.select(spot_id, module_id, BLOCK_MEMBER)
+    if placed:
+        state.log(actor, SELECTION_BROADCAST, {"selections": {str(s): m for m, s in placed}})
+    evicted = [module_id for chain in chains for module_id, _ in reversed(chain)]
+    for module_id in evicted:
+        spot_allocation(module_id, state, ctx)
+    blocked.sort()
+    unmatched = _center_distance_order(
+        [m for m in config.member_ids if m not in embedding.mapping], ctx)
+    scatter(blocked)
+    scatter(unmatched)
+    return BlockResult(embedding=embedding, disconnected=tuple(blocked + unmatched),
+                       evicted=tuple(evicted))

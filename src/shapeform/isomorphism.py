@@ -19,15 +19,15 @@ matching children to slots is a bitmask DP over slot positions, run for
 all target states in one numpy pass per child.  The DP is exact for any
 degree cap, and its values are integers, so no tie can flip.
 
-The enumerator walks only branches that the table says can reach the
-requested size, and it runs from an explicit stack, so a long chain
-meets no recursion limit.  The table ignores the enumerator's floor on
-module ids, so a maximum common subtree search rooted at any module but
-the smallest can still dead-end on sizes that only modules below the
-floor reach.  Search starts from target spots in descending value order
-and stops as soon as the embedding cap is hit.  A full embedding
-contains the smallest module id, and the enumerator only emits mappings
-whose smallest module is the root, so full search is rooted there alone.
+The enumerator asks each state for its table value.  The placed
+children's shares must then sum to that value minus one, the maximum of
+their table values over slot assignments, so each takes exactly its
+table value.  The table ignores the walk's floor on module ids, so a
+maximum common subtree search rooted at any module but the smallest can
+dead-end.  Search starts from target spots in descending value order and
+stops once the embedding cap is hit.  A full embedding contains the
+smallest module id, and the enumerator only emits mappings whose
+smallest module is the root, so full search is rooted there alone.
 """
 
 from __future__ import annotations
@@ -195,19 +195,19 @@ class _PairSearch:
         return value[self._state[(u, pu)]]
 
     def enumerate(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
-                  size: int, floor: int, cap: int) -> list[dict[int, int]]:
-        """Up to ``cap`` mappings of exactly ``size`` modules rooted at c -> u,
-        in canonical order (skip branch first, then slots ascending, larger
-        child shares first).  A capped list is a prefix of the uncapped one.
+                  floor: int, cap: int) -> list[dict[int, int]]:
+        """Up to ``cap`` mappings of ``best(c, pc, u, pu)`` modules rooted at
+        c -> u, in canonical order (skip branch first, then slots ascending);
+        a capped list is a prefix of the uncapped one.
 
         ``floor`` excludes modules with smaller ids; enumerating each root
         module with ``floor`` set to its own id makes it the minimum of every
         mapping it emits, so no mapping is ever produced twice across roots.
         Each state that needs a search runs as a generator on an explicit
-        stack and yields the sub-enumerations it needs, so depth costs no
-        recursion.
+        stack and yields the sub-enumerations it needs, so a long chain
+        meets no recursion limit.
         """
-        stack = [self._search(c, pc, u, pu, size, floor, cap)]
+        stack = [self._search(c, pc, u, pu, floor, cap)]
         result = None
         while stack:
             try:
@@ -221,10 +221,10 @@ class _PairSearch:
         return result
 
     def _search(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
-                size: int, floor: int, cap: int):
+                floor: int, cap: int):
         """Generator behind ``enumerate``: yields each sub-enumeration
         request, receives its mappings and returns this state's mappings."""
-        if size == 1:
+        if (size := self.best(c, pc, u, pu)) == 1:
             return [{c: u}]
         children = [x for x in self.config_adj[c] if x != pc and x >= floor]
         slots = [y for y in self.states.target_adj[u] if y != pu and y not in self.held]
@@ -241,18 +241,18 @@ class _PairSearch:
             if i == len(children):
                 return [{}] if remaining == 0 else []
             res = yield from splits(i + 1, remaining, used, limit)  # child i stays behind
-            ci, lo = children[i], max(1, remaining - suffix[i + 1])
+            ci = children[i]
             for j, uj in enumerate(slots):
-                if used & (1 << j):
+                rest = remaining - caps[i][j]
+                if used & (1 << j) or not 0 <= rest <= suffix[i + 1]:
                     continue
-                for s in range(min(caps[i][j], remaining), lo - 1, -1):
-                    if len(res) >= limit:
-                        return res
-                    room = limit - len(res)
-                    rests = yield from splits(i + 1, remaining - s, used | (1 << j), room)
-                    if rests:  # head-major product of child i's mappings and the rests
-                        heads = [{ci: uj}] if s == 1 else (yield (ci, c, uj, u, s, floor, room))
-                        res.extend(islice(({**h, **r} for h in heads for r in rests), room))
+                if len(res) >= limit:
+                    return res
+                room = limit - len(res)
+                rests = yield from splits(i + 1, rest, used | (1 << j), room)
+                if rests:  # head-major product of child i's mappings and the rests
+                    heads = [{ci: uj}] if caps[i][j] == 1 else (yield (ci, c, uj, u, floor, room))
+                    res.extend(islice(({**h, **r} for h in heads for r in rests), room))
             return res
 
         return [{**part, c: u} for part in (yield from splits(0, size - 1, 0, cap))]
@@ -284,7 +284,7 @@ class _PairSearch:
             for m in roots:
                 if self.best(m, None, u, None) < size:
                     continue
-                for mapping in self.enumerate(m, None, u, None, size, m, limit - len(out)):
+                for mapping in self.enumerate(m, None, u, None, m, limit - len(out)):
                     check_embedding(mapping, self.config_adj, self.states.target_adj)
                     out.append(Embedding(mapping=mapping, kind=kind))
                 if len(out) >= limit:

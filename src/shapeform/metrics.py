@@ -59,12 +59,15 @@ def spot_values(target: TargetConfiguration) -> dict[int, float]:
 
 
 def target_center(target: TargetConfiguration) -> tuple[float, float]:
-    """Arithmetic mean of the spot positions."""
+    """Arithmetic mean of the spot positions, summed left to right (float
+    ``sum()`` rounds differently from Python 3.12 on)."""
     if not target.spots:
         raise EmptyTargetError("cannot compute the center of an empty target")
-    n = len(target.spots)
-    return (sum(s.pose.x for s in target.spots) / n,
-            sum(s.pose.y for s in target.spots) / n)
+    x = y = 0.0
+    for s in target.spots:
+        x += s.pose.x
+        y += s.pose.y
+    return x / len(target.spots), y / len(target.spots)
 
 
 CONFIGURATION = "configuration"

@@ -136,9 +136,13 @@ def normalize_edge(a: int, b: int) -> tuple[int, int]:
 
 def choose_leader(members: Sequence[Module]) -> int:
     """Leader = member closest to the centroid of the member positions,
-    ties broken by lowest module id."""
-    cx = sum(m.pose.x for m in members) / len(members)
-    cy = sum(m.pose.y for m in members) / len(members)
+    ties broken by lowest module id.  The centroid is summed left to right,
+    as ``metrics.target_center`` is."""
+    cx = cy = 0.0
+    for m in members:
+        cx += m.pose.x
+        cy += m.pose.y
+    cx, cy = cx / len(members), cy / len(members)
     return min(members, key=lambda m: (math.hypot(m.pose.x - cx, m.pose.y - cy), m.id)).id
 
 

@@ -40,6 +40,12 @@ def _obj(value: Any, ctx: str) -> dict:
     return value
 
 
+def _list(value: Any, ctx: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{ctx}: expected a list")
+    return value
+
+
 def _fields(obj: Mapping[str, Any], ctx: str, required: tuple[str, ...],
             optional: tuple[str, ...] = ()) -> None:
     for key in obj:
@@ -75,9 +81,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
             optional=("cost_params", "algo_params"))
 
     modules = []
-    if not isinstance(doc["modules"], list):
-        raise ParseError("modules: expected a list")
-    for i, raw in enumerate(doc["modules"]):
+    for i, raw in enumerate(_list(doc["modules"], "modules")):
         ctx = f"modules[{i}]"
         entry = _obj(raw, ctx)
         _fields(entry, ctx, required=("id", "x", "y", "theta", "config_id"))
@@ -89,15 +93,14 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     module_by_id = {m.id: m for m in modules}
 
     configurations = []
-    if not isinstance(doc["configurations"], list):
-        raise ParseError("configurations: expected a list")
-    for i, raw in enumerate(doc["configurations"]):
+    for i, raw in enumerate(_list(doc["configurations"], "configurations")):
         ctx = f"configurations[{i}]"
         entry = _obj(raw, ctx)
         _fields(entry, ctx, required=("id", "members", "edges"), optional=("leader",))
-        members = tuple(_int(m, f"{ctx}.members") for m in entry["members"])
+        members = tuple(_int(m, f"{ctx}.members")
+                        for m in _list(entry["members"], f"{ctx}.members"))
         edges = []
-        for edge in entry["edges"]:
+        for edge in _list(entry["edges"], f"{ctx}.edges"):
             if not isinstance(edge, list) or len(edge) != 2:
                 raise ParseError(f"{ctx}.edges: expected [a, b] pairs")
             edges.append(normalize_edge(_int(edge[0], f"{ctx}.edges"),
@@ -117,19 +120,16 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
     target_doc = _obj(doc["target"], "target")
     _fields(target_doc, "target", required=("spots",))
     spots = []
-    if not isinstance(target_doc["spots"], list):
-        raise ParseError("target.spots: expected a list")
-    for i, raw in enumerate(target_doc["spots"]):
+    for i, raw in enumerate(_list(target_doc["spots"], "target.spots")):
         ctx = f"target.spots[{i}]"
         entry = _obj(raw, ctx)
         _fields(entry, ctx, required=("id", "x", "y", "neighbors"))
-        if not isinstance(entry["neighbors"], list):
-            raise ParseError(f"{ctx}.neighbors: expected a list")
+        neighbors = _list(entry["neighbors"], f"{ctx}.neighbors")
         spots.append(Spot(id=_int(entry["id"], f"{ctx}.id"),
                           pose=Pose(_num(entry["x"], f"{ctx}.x"),
                                     _num(entry["y"], f"{ctx}.y")),
                           neighbor_ids=frozenset(_int(n, f"{ctx}.neighbors")
-                                                 for n in entry["neighbors"])))
+                                                 for n in neighbors)))
 
     cost_params = CostParams()
     if "cost_params" in doc:

@@ -26,7 +26,7 @@ from .allocation import (
 )
 from .metrics import CONFIGURATION, rank_entities, spot_values
 from .model import Scenario, ScenarioIndex, planar_distance
-from .utility import module_spot_utility, preserved_links, retention_reward
+from .utility import retention_reward
 
 
 class HoleDetectedError(RuntimeError):
@@ -60,9 +60,7 @@ def _total_utility(ctx: PlanContext, state: AllocationState) -> float:
     index = ctx.index
     total = 0.0
     for spot_id, module_id in state.selections.items():
-        total += module_spot_utility(index.module_by_id[module_id], index.spot_by_id[spot_id],
-                                     ctx.values, index,
-                                     preserved_links(module_id, spot_id, index, state.spot_of))
+        total += ctx.utility(module_id, spot_id, state)
     for config in index.config_by_id.values():
         kept = sum(1 for m in config.member_ids
                    if state.spot_of(m) is not None

@@ -91,9 +91,12 @@ def _scenario(params: SweepParams, **gen) -> Scenario:
 
 
 def _distance(index: ScenarioIndex, assignment: dict[int, int]) -> float:
-    """Total straight-line travel of a spot id -> module id assignment."""
-    return sum(planar_distance(index.module_by_id[m].pose, index.spot_by_id[s].pose)
-               for s, m in assignment.items())
+    """Total straight-line travel of a spot id -> module id assignment,
+    summed left to right."""
+    total = 0.0
+    for s, m in assignment.items():
+        total += planar_distance(index.module_by_id[m].pose, index.spot_by_id[s].pose)
+    return total
 
 
 def _measure_scaling(n: int, seed: int, params: SweepParams) -> dict:

@@ -90,5 +90,9 @@ def block_cost(mapping: Mapping[int, int], index: ScenarioIndex) -> float:
 
 def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],
                   index: ScenarioIndex) -> float:
-    """Summed spot values of the image minus the block cost."""
-    return sum(values[s] for s in mapping.values()) - block_cost(mapping, index)
+    """Summed spot values of the image (left to right, like every float sum
+    here) minus the block cost."""
+    total = 0.0
+    for spot_id in mapping.values():
+        total += values[spot_id]
+    return total - block_cost(mapping, index)

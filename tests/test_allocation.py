@@ -347,8 +347,9 @@ def test_evicting_a_block_member_raises():
                                     1: {0: 1.0, 1: 9.0, 2: 9.0}})
     state = AllocationState()
     state.select(0, 1, BLOCK_MEMBER)
-    with pytest.raises(AllocationError, match="module 1"):
-        evict(0, 1, 0, state, ctx, [])
+    for depth in (0, ctx.index.algo_params.max_eviction_depth):  # also at the depth bound
+        with pytest.raises(AllocationError, match="module 1"):
+            evict(0, 1, depth, state, ctx, [])
 
 
 def brute_best(utility, spot_ids, excluded):

@@ -110,3 +110,13 @@ def test_event_log_export_one_record_per_line(tmp_path):
     first = json.loads(lines[0])
     assert first["event"] == "POSITION_BROADCAST"
     assert first["tick"] == 0
+
+
+@pytest.mark.parametrize("field", ["members", "edges"])
+@pytest.mark.parametrize("value", [5, None, {"0": 1}])
+def test_non_list_configuration_field_rejected(field, value):
+    doc = scenario_to_dict(generate_scenario(GenParams(n_spots=12, seed=3)))
+    assert doc["configurations"]
+    doc["configurations"][0][field] = value
+    with pytest.raises(ParseError, match=f"configurations\\[0\\].{field}: expected a list"):
+        scenario_from_dict(doc)
