@@ -9,7 +9,7 @@ from pathlib import Path
 import click
 
 from .generate import GenParams, generate_scenario
-from .model import AlgoParams
+from .model import AlgoParams, validate_scenario
 from .scenario_io import export_event_log, load_scenario, save_result, save_scenario
 from .simulate import run_scenario
 from .sweeps import SWEEP_KINDS, SweepParams, run_cases, run_sweep
@@ -75,7 +75,7 @@ def run(scenario_path, dmax, max_embeddings, out, events):
         algo = dataclasses.replace(algo, max_eviction_depth=dmax)
     if max_embeddings is not None:
         algo = dataclasses.replace(algo, max_embeddings=max_embeddings)
-    scenario = dataclasses.replace(scenario, algo_params=algo)
+    scenario = validate_scenario(dataclasses.replace(scenario, algo_params=algo))
     result = run_scenario(scenario)
     path = _out_path(out, Path(scenario_path).stem + "_result.json")
     save_result(result, path)

@@ -10,24 +10,24 @@ from a neighbour, ``(u, pu)``, or a spot taken as root, ``(u, None)`` --
 gets a number, and a ``slots`` array lists each state's child states,
 padded with a sentinel state worth 0.  ``TargetStates`` numbers a target
 once for every search into it; a search leaves out spots held by
-committed blocks by pointing their slot entries at the sentinel.  Each
-configuration state ``(c, pc)`` (a module entered from a neighbour, or a
-root module) holds one int array over all target states: the size of the
-largest common rooted subtree that maps c onto that state's spot.  The
-arrays are built bottom-up from an explicit stack, children first;
-matching children to slots is a bitmask DP over slot positions, run for
-all target states in one numpy pass per child.  The DP is exact for any
-degree cap, and its values are integers, so no tie can flip.
+committed blocks by giving their states the sentinel's value 0 in every
+table it builds.  Each configuration state ``(c, pc)`` (a module entered
+from a neighbour, or a root module) holds one int array over all target
+states: the size of the largest common rooted subtree that maps c onto
+that state's spot.  The arrays are built bottom-up from an explicit
+stack, children first; matching children to slots is a bitmask DP over
+slot positions, run for all target states in one numpy pass per child.
+The DP is exact for any degree cap, and its values are integers, so no
+tie can flip.
 
 The enumerator asks each state for its table value.  The placed
 children's shares must then sum to that value minus one, the maximum of
 their table values over slot assignments, so each takes exactly its
-table value.  The table ignores the walk's floor on module ids, so a
-maximum common subtree search rooted at any module but the smallest can
-dead-end.  Search starts from target spots in descending value order and
-stops once the embedding cap is hit.  A full embedding contains the
-smallest module id, and the enumerator only emits mappings whose
-smallest module is the root, so full search is rooted there alone.
+table value.  Search starts from target spots in descending value order
+and stops once the embedding cap is hit.  The walk from root module m
+never enters a smaller id, so it stays in m's piece, the modules reachable
+from m through larger ids; only a piece of the wanted size roots a search,
+and for a full embedding that is the smallest module's alone.
 """
 
 from __future__ import annotations
@@ -66,25 +66,19 @@ def check_embedding(mapping: Mapping[int, int],
                     target_adj: Mapping[int, Iterable[int]]) -> None:
     """Raise ``EmbeddingError`` unless ``mapping`` is injective, preserves
     every configuration edge between mapped modules and maps a connected
-    piece of the configuration."""
+    piece of the tree-shaped configuration."""
     if len(set(mapping.values())) != len(mapping):
         raise EmbeddingError("embedding not injective")
-    mapped = set(mapping)
-    for a in mapped:
+    inside = 0  # edge ends between mapped modules
+    for a in mapping:
         for b in config_adj[a]:
-            if b in mapped and mapping[b] not in target_adj[mapping[a]]:
-                raise EmbeddingError(f"edge ({a}, {b}) not preserved")
-    if mapped:
-        stack = [next(iter(mapped))]
-        seen = set(stack)
-        while stack:
-            v = stack.pop()
-            for w in config_adj[v]:
-                if w in mapped and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != mapped:
-            raise EmbeddingError("mapped modules not connected")
+            if b in mapping:
+                inside += 1
+                if mapping[b] not in target_adj[mapping[a]]:
+                    raise EmbeddingError(f"edge ({a}, {b}) not preserved")
+    # in a tree, k modules are connected exactly when k - 1 edges join them
+    if mapping and inside != 2 * (len(mapping) - 1):
+        raise EmbeddingError("mapped modules not connected")
 
 
 class TargetStates:
@@ -123,11 +117,10 @@ class _PairSearch:
     """Table of rooted common-subtree sizes, and the walk that enumerates
     mappings from it, for one configuration and the target minus ``held``.
 
-    Every slot entry whose child spot is held points at the sentinel, held
-    spots are never roots, and the walks skip them as slots.  This equals a
-    search in the forest left after removing the held spots: a held child
-    adds 0 to every parent's DP, and no walk enters a state from a held
-    spot, so the states that are read have the forest's values.
+    Every table gives the states of held spots the value 0, as it gives the
+    sentinel.  This equals a search in the forest left after removing the
+    held spots: a held child adds 0 to every parent's DP, a held spot roots
+    nothing, and the walk places no child on a slot worth 0.
     """
 
     def __init__(self, config: Configuration, states: TargetStates,
@@ -135,12 +128,21 @@ class _PairSearch:
         self.config_adj = {m: tuple(sorted(ns)) for m, ns in config.adjacency().items()}
         self.module_order = sorted(config.member_ids)
         self.states = states
-        self.held = held
         self._state = states.state
         self._slots = states.slots
-        if held:
-            self._slots = np.where(np.isin(states.spot[states.slots], list(held)),
-                                   states.sentinel, states.slots)
+        self._zero = np.flatnonzero(np.isin(states.spot, [*held, -1]))
+        # piece[m]: modules reachable from m through larger ids, m included;
+        # in descending order each module absorbs its larger neighbours' pieces
+        self.piece: dict[int, int] = {}
+        into: dict[int, int] = {}  # absorbed module -> the module it went into
+        for m in reversed(self.module_order):
+            self.piece[m] = 1
+            for y in self.config_adj[m]:
+                if y > m:
+                    while y in into:
+                        y = into[y]
+                    into[y] = m
+                    self.piece[m] += self.piece[y]
         # configuration state (c, pc) -> best size at every target state,
         # as an array for the DP and as a list for lookups
         self._table: dict[tuple[int, Optional[int]], np.ndarray] = {}
@@ -183,16 +185,13 @@ class _PairSearch:
                 np.maximum(merged[with_j], dp[without_j] + gain[:, j], out=merged[with_j])
             dp = merged
         table = dp[(1,) * self.states.width] + 1
-        table[-1] = 0  # the sentinel
+        table[self._zero] = 0  # held spots and the sentinel
         return table
 
     def best(self, c: int, pc: Optional[int], u: int, pu: Optional[int]) -> int:
         """Max size of a common rooted subtree mapping c -> u, entered from
         (pc, pu)."""
-        value = self._value.get((c, pc))
-        if value is None:
-            value = self._build(c, pc)
-        return value[self._state[(u, pu)]]
+        return (self._value.get((c, pc)) or self._build(c, pc))[self._state[(u, pu)]]
 
     def enumerate(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
                   floor: int, cap: int) -> list[dict[int, int]]:
@@ -200,12 +199,10 @@ class _PairSearch:
         c -> u, in canonical order (skip branch first, then slots ascending);
         a capped list is a prefix of the uncapped one.
 
-        ``floor`` excludes modules with smaller ids; enumerating each root
-        module with ``floor`` set to its own id makes it the minimum of every
-        mapping it emits, so no mapping is ever produced twice across roots.
-        Each state that needs a search runs as a generator on an explicit
-        stack and yields the sub-enumerations it needs, so a long chain
-        meets no recursion limit.
+        ``floor`` excludes modules with smaller ids (see ``collect``).  Each
+        state that needs a search runs as a generator on an explicit stack
+        and yields the sub-enumerations it needs, so a long chain meets no
+        recursion limit.
         """
         stack = [self._search(c, pc, u, pu, floor, cap)]
         result = None
@@ -227,11 +224,11 @@ class _PairSearch:
         if (size := self.best(c, pc, u, pu)) == 1:
             return [{c: u}]
         children = [x for x in self.config_adj[c] if x != pc and x >= floor]
-        slots = [y for y in self.states.target_adj[u] if y != pu and y not in self.held]
+        slots = [y for y in self.states.target_adj[u] if y != pu]
         caps = [[self.best(ci, c, uj, u) for uj in slots] for ci in children]
         suffix = [0] * (len(children) + 1)
         for i in range(len(children) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + (max(caps[i]) if slots else 0)
+            suffix[i] = suffix[i + 1] + max(caps[i], default=0)
 
         def splits(i: int, remaining: int, used: int, limit: int):
             """Up to ``limit`` ways to place ``remaining`` modules below
@@ -243,8 +240,8 @@ class _PairSearch:
             res = yield from splits(i + 1, remaining, used, limit)  # child i stays behind
             ci = children[i]
             for j, uj in enumerate(slots):
-                rest = remaining - caps[i][j]
-                if used & (1 << j) or not 0 <= rest <= suffix[i + 1]:
+                rest = remaining - caps[i][j]  # a held slot is worth 0: no child goes there
+                if used & (1 << j) or not caps[i][j] or not 0 <= rest <= suffix[i + 1]:
                     continue
                 if len(res) >= limit:
                     return res
@@ -258,29 +255,25 @@ class _PairSearch:
         return [{**part, c: u} for part in (yield from splits(0, size - 1, 0, cap))]
 
     def max_common_size(self) -> int:
-        """Size of the largest common subtree over every (module, spot) root."""
-        for m in self.module_order:
-            self._build(m, None)
-        roots = [self._state[(u, None)] for u in self.states.target_adj if u not in self.held]
-        return max(int(self._table[(m, None)][roots].max()) for m in self.module_order)
+        """Size of the largest common subtree over every (module, spot) root;
+        a spot entered from a neighbour has fewer slots, so no more value."""
+        return max(max(self._build(m, None)) for m in self.module_order)
 
     def collect(self, size: int, kind: str, limit: int) -> list[Embedding]:
         """Gather up to ``limit`` embeddings of the given size, stopping as
-        soon as the cap is reached.  Root spots are visited in descending
-        value order, every module serving as root in turn, so a capped
-        collection concentrates on the most valuable region first.
+        soon as the cap is reached.  Root spots (a held one is worth 0) are
+        visited in descending value order, every module whose piece holds
+        ``size`` modules serving as root in turn, so a capped collection
+        concentrates on the most valuable region first.
 
         Each embedding is produced once: root m enumerates with ``floor`` m,
         so m is the smallest module and ``mapping[m]`` the root spot of every
         mapping it emits, and within one root a mapping has one derivation.
-        A full embedding is rooted at the smallest module id only: every
-        other root's ``floor`` excludes that module, so it cannot emit one.
+        Those mappings lie in m's piece, so a smaller piece cannot root one.
         """
-        roots = self.module_order[:1] if size == len(self.module_order) else self.module_order
+        roots = [m for m in self.module_order if self.piece[m] >= size]
         out: list[Embedding] = []
         for u in self.states.spot_order:
-            if u in self.held:
-                continue
             for m in roots:
                 if self.best(m, None, u, None) < size:
                     continue
@@ -298,17 +291,11 @@ def best_embeddings(config: Configuration, states: TargetStates, max_embeddings:
     sharing one table of subtree sizes across both phases.  Spots in
     ``held`` are left out of the target, as if the search ran on the forest
     that remains."""
-    available = len(states.target_adj) - len(held)
-    if not config.member_ids or available < 1:
+    if not config.member_ids or len(states.target_adj) <= len(held):
         raise DegenerateInputError("embedding requires a non-empty configuration and target")
     search = _PairSearch(config, states, held)
-    n = len(config.member_ids)
-    if n <= available:
-        full = search.collect(n, FULL, max_embeddings)
-        if full:
-            return full
-    k_max = search.max_common_size()
-    return search.collect(k_max, MCS, max_embeddings)
+    return (search.collect(len(config.member_ids), FULL, max_embeddings)
+            or search.collect(search.max_common_size(), MCS, max_embeddings))
 
 
 def order_embeddings(embeddings: list[Embedding], values: Mapping[int, float],

@@ -9,8 +9,9 @@ anywhere in the tree so that typos fail loudly instead of being ignored.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Mapping, TYPE_CHECKING
+from typing import Any, Mapping, TYPE_CHECKING, get_type_hints
 
 from .model import (
     AlgoParams,
@@ -66,6 +67,19 @@ def _num(value: Any, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{ctx}: expected a number, got {value!r}")
     return float(value)
+
+
+def _params(cls: type, doc: Mapping[str, Any], key: str) -> Any:
+    """The optional ``cost_params``/``algo_params`` block read by the fields
+    of its dataclass: each field optional with the dataclass default, float
+    fields through ``_num`` and int fields through ``_int``."""
+    if key not in doc:
+        return cls()
+    entry = _obj(doc[key], key)
+    _fields(entry, key, required=(), optional=tuple(f.name for f in fields(cls)))
+    types = get_type_hints(cls)
+    return cls(**{name: (_num if types[name] is float else _int)(value, f"{key}.{name}")
+                  for name, value in entry.items()})
 
 
 def _pose(obj: Mapping[str, Any], ctx: str) -> Pose:
@@ -131,31 +145,8 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
                           neighbor_ids=frozenset(_int(n, f"{ctx}.neighbors")
                                                  for n in neighbors)))
 
-    cost_params = CostParams()
-    if "cost_params" in doc:
-        ctx = "cost_params"
-        entry = _obj(doc["cost_params"], ctx)
-        _fields(entry, ctx, required=(), optional=("alpha_loc", "c_dock", "c_undock"))
-        cost_params = CostParams(
-            alpha_loc=_num(entry.get("alpha_loc", cost_params.alpha_loc), f"{ctx}.alpha_loc"),
-            c_dock=_num(entry.get("c_dock", cost_params.c_dock), f"{ctx}.c_dock"),
-            c_undock=_num(entry.get("c_undock", cost_params.c_undock), f"{ctx}.c_undock"))
-
-    algo_params = AlgoParams()
-    if "algo_params" in doc:
-        ctx = "algo_params"
-        entry = _obj(doc["algo_params"], ctx)
-        _fields(entry, ctx, required=(),
-                optional=("max_eviction_depth", "max_embeddings", "max_degree"))
-        algo_params = AlgoParams(
-            max_eviction_depth=_int(entry.get("max_eviction_depth",
-                                              algo_params.max_eviction_depth),
-                                    f"{ctx}.max_eviction_depth"),
-            max_embeddings=_int(entry.get("max_embeddings", algo_params.max_embeddings),
-                                f"{ctx}.max_embeddings"),
-            max_degree=_int(entry.get("max_degree", algo_params.max_degree),
-                            f"{ctx}.max_degree"))
-
+    cost_params = _params(CostParams, doc, "cost_params")
+    algo_params = _params(AlgoParams, doc, "algo_params")
     scenario = Scenario(modules=tuple(modules),
                         configurations=tuple(configurations),
                         target=TargetConfiguration(spots=tuple(spots)),
@@ -185,16 +176,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
                 for s in scenario.target.spots
             ]
         },
-        "cost_params": {
-            "alpha_loc": scenario.cost_params.alpha_loc,
-            "c_dock": scenario.cost_params.c_dock,
-            "c_undock": scenario.cost_params.c_undock,
-        },
-        "algo_params": {
-            "max_eviction_depth": scenario.algo_params.max_eviction_depth,
-            "max_embeddings": scenario.algo_params.max_embeddings,
-            "max_degree": scenario.algo_params.max_degree,
-        },
+        "cost_params": asdict(scenario.cost_params),
+        "algo_params": asdict(scenario.algo_params),
         "seed": scenario.seed,
     }
 

@@ -113,16 +113,17 @@ def chain_tables():
 
 
 def test_depth_two_eviction_chain():
-    scenario = three_singletons()
-    ctx = seeded_context(scenario, chain_tables())
-    state = AllocationState()
-    state.select(0, 1, SINGLETON)  # blocker of module 0's favourite
-    state.select(1, 2, SINGLETON)  # blocker of module 1's fallback
-    assert spot_allocation(0, state, ctx) == 0
-    assert state.selections == {0: 0, 1: 1, 2: 2}
-    # evicted modules re-broadcast before the evictor
-    kinds = [e for e in state.event_log if e.event_type == SELECTION_BROADCAST]
-    assert [e.actor for e in kinds] == ["module:1", "module:2", "module:0"]
+    for d_max in (3, 2):  # d_max = 2 leaves exactly the two levels the chain needs
+        scenario = three_singletons(d_max)
+        ctx = seeded_context(scenario, chain_tables())
+        state = AllocationState()
+        state.select(0, 1, SINGLETON)  # blocker of module 0's favourite
+        state.select(1, 2, SINGLETON)  # blocker of module 1's fallback
+        assert spot_allocation(0, state, ctx) == 0
+        assert state.selections == {0: 0, 1: 1, 2: 2}
+        # evicted modules re-broadcast before the evictor
+        kinds = [e for e in state.event_log if e.event_type == SELECTION_BROADCAST]
+        assert [e.actor for e in kinds] == ["module:1", "module:2", "module:0"]
 
 
 def test_depth_bound_stops_the_chain():
@@ -133,6 +134,18 @@ def test_depth_bound_stops_the_chain():
     state.select(1, 2, SINGLETON)
     assert spot_allocation(0, state, ctx) == 2  # deep eviction not allowed
     assert state.selections == {0: 1, 1: 2, 2: 0}
+
+
+def test_exact_tie_keeps_the_holder():
+    """Integer positions make contests tie exactly: module 0 taking spot 0
+    from module 1 leaves the pair's summed utility where it was.  A tie
+    keeps the holder; evicting on it, the two would evict each other
+    without end."""
+    from shapeform.simulate import run_planning
+    scenario = singleton_scenario([(-1.0, 0.0), (0.0, 0.0)], path_target(2))
+    result = run_planning(scenario)
+    assert result.allocation == {0: 1, 1: 0}
+    assert [e.event_type for e in result.event_log].count(SELECTION_BROADCAST) == 2
 
 
 def test_no_spot_found_broadcast():

@@ -2,9 +2,11 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
 
 from shapeform.cli import main
+from shapeform.model import ScenarioError
 
 
 def test_generate_run_round_trip(tmp_path):
@@ -36,6 +38,22 @@ def test_run_with_dmax_override(tmp_path):
                                   "--max-embeddings", "5",
                                   "--out", str(tmp_path / "r.json")])
     assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("option, value, name", [("--max-embeddings", "0", "max_embeddings"),
+                                                 ("--dmax", "-2", "max_eviction_depth")])
+def test_run_rejects_invalid_override(tmp_path, option, value, name):
+    """An override is validated like the scenario file it overrides."""
+    runner = CliRunner()
+    scenario_path = tmp_path / "scenario.json"
+    runner.invoke(main, ["generate", "--spots", "12", "--seed", "3",
+                         "--out", str(scenario_path)])
+    result = runner.invoke(main, ["run", str(scenario_path), option, value,
+                                  "--out", str(tmp_path / "r.json")])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ScenarioError)
+    assert name in str(result.exception)
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_sweep_csv_output(tmp_path):

@@ -1,4 +1,5 @@
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -137,9 +138,35 @@ def test_max_embeddings_caps_output():
     assert [e.mapping for e in capped] == [e.mapping for e in everything[:5]]
 
 
-@given(random_trees(min_nodes=1, max_nodes=8), random_trees(min_nodes=1, max_nodes=8))
-def test_full_embeddings_match_brute_force(config_tree, target_tree):
-    cn, config_edges = config_tree
+def relabelled(config_tree, rng):
+    """The drawn tree with its module ids shuffled: the attachment model
+    gives every module a smaller parent, which would hide id-order cases."""
+    cn, edges = config_tree
+    label = rng.sample(range(cn), cn)
+    return cn, [(label[a], label[b]) for a, b in edges]
+
+
+@given(random_trees(min_nodes=1, max_nodes=9), st.randoms(use_true_random=False))
+def test_piece_holds_the_modules_reachable_through_larger_ids(config_tree, rng):
+    """Root m's walk never enters a smaller id, so ``piece[m]`` bounds every
+    mapping m emits."""
+    cn, edges = relabelled(config_tree, rng)
+    config_adj = adjacency(cn, edges)
+    search = _PairSearch(config_from_edges(range(cn), edges), states_for(path_target(2)))
+    for m in range(cn):
+        seen, stack = {m}, [m]
+        while stack:
+            for y in config_adj[stack.pop()]:
+                if y > m and y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        assert search.piece[m] == len(seen)
+
+
+@given(random_trees(min_nodes=1, max_nodes=8), random_trees(min_nodes=1, max_nodes=8),
+       st.randoms(use_true_random=False))
+def test_full_embeddings_match_brute_force(config_tree, target_tree, rng):
+    cn, config_edges = relabelled(config_tree, rng)
     tn, target_edges = target_tree
     config = config_from_edges(range(cn), config_edges)
     target = target_from_edges(tn, target_edges)
@@ -151,11 +178,12 @@ def test_full_embeddings_match_brute_force(config_tree, target_tree):
     assert len(found) == len(got)  # no duplicates
 
 
-@given(random_trees(min_nodes=1, max_nodes=7), random_trees(min_nodes=1, max_nodes=7))
-def test_mcs_embeddings_match_brute_force(config_tree, target_tree):
+@given(random_trees(min_nodes=1, max_nodes=7), random_trees(min_nodes=1, max_nodes=7),
+       st.randoms(use_true_random=False))
+def test_mcs_embeddings_match_brute_force(config_tree, target_tree, rng):
     """Without a full embedding the search returns every embedding of every
     largest connected piece of the configuration, each exactly once."""
-    cn, config_edges = config_tree
+    cn, config_edges = relabelled(config_tree, rng)
     tn, target_edges = target_tree
     config = config_from_edges(range(cn), config_edges)
     target = target_from_edges(tn, target_edges)
@@ -317,6 +345,29 @@ def test_held_spots_match_search_in_available_forest(drawn, cap):
         got = best_embeddings(config, states, cap, held)
         expected = best_embeddings(config, forest_states, cap)
         assert [(e.mapping, e.kind) for e in got] == [(e.mapping, e.kind) for e in expected]
+
+
+@settings(max_examples=60)
+@given(partial_states(), st.integers(min_value=1, max_value=30))
+def test_walk_never_enters_a_held_spot(drawn, cap):
+    """A held spot is worth 0 in every table, so the walk places no child
+    there rather than search it for a piece that cannot exist."""
+    scenario, state, _ = drawn
+    held = frozenset(s for s, m in state.selections.items()
+                     if state.selector_kind[m] == BLOCK_MEMBER)
+    assume(held and len(held) < len(scenario.target.spots))
+    states = TargetStates(scenario.target, spot_values(scenario.target))
+    entered = []
+    search = _PairSearch._search
+
+    def recording(self, c, pc, u, pu, floor, cap):
+        entered.append(u)
+        return search(self, c, pc, u, pu, floor, cap)
+
+    with mock.patch.object(_PairSearch, "_search", recording):
+        for config in scenario.configurations:
+            best_embeddings(config, states, cap, held)
+    assert not held & set(entered)
 
 
 def test_order_embeddings_by_utility_then_spot_sum():

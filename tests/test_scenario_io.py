@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from shapeform.generate import GenParams, generate_scenario
+from shapeform.model import AlgoParams, CostParams
 from shapeform.scenario_io import (
     ParseError,
     export_event_log,
@@ -87,6 +89,34 @@ def test_defaults_applied_when_param_blocks_absent():
     rebuilt = scenario_from_dict(doc)
     assert rebuilt.cost_params.alpha_loc == 1.0
     assert rebuilt.algo_params.max_eviction_depth == 3
+
+
+def test_round_trip_keeps_non_default_params():
+    scenario = dataclasses.replace(
+        generate_scenario(GenParams(n_spots=6, seed=2)),
+        cost_params=CostParams(alpha_loc=2.5, c_dock=0.3, c_undock=0.2),
+        algo_params=AlgoParams(max_eviction_depth=1, max_embeddings=7, max_degree=4))
+    doc = json.loads(json.dumps(scenario_to_dict(scenario)))
+    assert doc["cost_params"] == {"alpha_loc": 2.5, "c_dock": 0.3, "c_undock": 0.2}
+    assert doc["algo_params"] == {"max_eviction_depth": 1, "max_embeddings": 7,
+                                  "max_degree": 4}
+    assert scenario_from_dict(doc) == scenario
+
+
+@pytest.mark.parametrize("block", ["cost_params", "algo_params"])
+def test_unknown_param_rejected_with_name(block):
+    doc = scenario_to_dict(generate_scenario(GenParams(n_spots=3, seed=0)))
+    doc[block]["gamma"] = 1
+    with pytest.raises(ParseError, match=f"{block}: unknown field 'gamma'"):
+        scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+def test_non_integer_max_embeddings_rejected(value):
+    doc = scenario_to_dict(generate_scenario(GenParams(n_spots=3, seed=0)))
+    doc["algo_params"]["max_embeddings"] = value
+    with pytest.raises(ParseError, match="algo_params.max_embeddings: expected an integer"):
+        scenario_from_dict(doc)
 
 
 def test_result_serialization_contains_allocation_and_metrics(tmp_path):
