@@ -6,6 +6,20 @@ strictly sequential, so no locking exists here.  Selections of block
 members are permanent — only singleton selections can be evicted, and an
 accepted eviction must strictly raise the combined utility of the two
 modules involved.
+
+A singleton walking its preference order skips, without calling ``evict``,
+every contest that ``evict`` would reject anyway.  Two tests find them; each
+rejects only contests that fail, and a failed ``evict`` changes nothing, so
+the plan is the same with or without them:
+
+- the utility bound (``_bound_rejects``, holders without links): the walk's
+  first singleton-held spot stays eligible as the walker's alternative in
+  every later contest, and the holder can gain at most its table maximum
+  outside the contested spot; the test is ``evict``'s own sum, so float
+  rounding moves both sides the same way and ties are decided alike;
+- the reach test (``_reaches_free_spot``, every holder): while nothing is
+  unselected the holders ``evict`` recurses through form a fixed chain, and
+  a chain that meets no free spot within the depth bound always fails.
 """
 
 from __future__ import annotations
@@ -174,6 +188,13 @@ class PlanContext:
                 break
         return -max(keys)[1] if keys else None
 
+    def best_other_table_utility(self, module_id: int, spot_id: int) -> float:
+        """The largest state-free utility over every spot but ``spot_id``
+        (there must be another spot).  For a module without links this bounds
+        its utility at any spot other than ``spot_id`` from above."""
+        order = self._order(module_id)
+        return self._table(module_id)[order[1] if order[0] == spot_id else order[0]]
+
     def preference_order(self, module_id: int, state: AllocationState) -> list[int]:
         """Spot ids in descending utility, ties by lower id."""
         order = self._order(module_id)
@@ -215,11 +236,7 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
     if depth >= ctx.index.algo_params.max_eviction_depth:
         return False
     contested = state.spot_of(block_id)
-
-    def excluded(spot_id: int) -> bool:
-        return (spot_id == contested
-                or state.selector_kind.get(state.selector_of(spot_id)) == BLOCK_MEMBER)
-
+    excluded = _excluding(contested, state)
     block_best = ctx.best_spot(block_id, state, excluded)
     if block_best is None:
         return False
@@ -236,6 +253,51 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
     return False
 
 
+def _excluding(contested: int, state: AllocationState) -> Callable[[int], bool]:
+    """The spots an eviction contest over ``contested`` leaves out of both
+    best alternatives: the contested spot and every block-held spot."""
+    def excluded(spot_id: int) -> bool:
+        return (spot_id == contested
+                or state.selector_kind.get(state.selector_of(spot_id)) == BLOCK_MEMBER)
+    return excluded
+
+
+def _bound_rejects(curr_id: int, block_id: int, floor: Optional[float],
+                   state: AllocationState, ctx: PlanContext) -> bool:
+    """Whether ``evict(curr_id, block_id, 0, ...)`` must fail on utilities
+    alone.  ``floor`` is curr's utility at a singleton-held spot other than
+    the contested one (``None``: not known yet); that spot is eligible as
+    curr's alternative, so ``floor`` bounds ``evict``'s ``curr_alt`` term
+    from below.  A holder without links scores its table, so its best
+    alternative is worth at most the table maximum outside the contested
+    spot.  Float addition is monotone, so ``evict``'s sums can only be
+    further apart in the same direction: exact, ties included."""
+    if floor is None or ctx.index.module_links[block_id]:
+        return False
+    contested = state.spot_of(block_id)
+    return not (ctx.utility(curr_id, contested, state)
+                + ctx.best_other_table_utility(block_id, contested)
+                > floor + ctx.utility(block_id, contested, state))
+
+
+def _reaches_free_spot(block_id: int, budget: int, state: AllocationState,
+                       ctx: PlanContext) -> bool:
+    """Whether the chain of holders an eviction of ``block_id`` recurses
+    through meets a free spot within ``budget`` hops.  Until an eviction
+    succeeds nothing is unselected, so each hop is fixed by the state: the
+    holder's best spot outside its own and the block-held ones, and that
+    spot's holder.  If the chain never meets a free spot, ``evict`` fails
+    whatever the utilities."""
+    for _ in range(budget):
+        best = ctx.best_spot(block_id, state, _excluding(state.spot_of(block_id), state))
+        if best is None:
+            return False
+        block_id = state.selector_of(best)
+        if block_id is None:
+            return True
+    return False
+
+
 def spot_allocation(module_id: int, state: AllocationState, ctx: PlanContext) -> Optional[int]:
     """Select a spot for a singleton module; returns the spot id or ``None``.
 
@@ -244,19 +306,35 @@ def spot_allocation(module_id: int, state: AllocationState, ctx: PlanContext) ->
     modules re-run their own allocation straight away, before this module's
     selection broadcast goes out.  If nothing is selectable a NO_SPOT_FOUND
     broadcast is logged and ``None`` returned.
+
+    A contest is skipped, without calling ``evict``, when the utility bound
+    (``_bound_rejects``, holders without links) or the reach test
+    (``_reaches_free_spot``) shows that ``evict`` would reject it.  A
+    rejected contest changes no state, so every test reads the state the
+    walk started from and the walk's first held spot stays eligible as this
+    module's alternative in every later contest; the plan is therefore the
+    same, bit for bit, as with every contest run.
     """
     actor = f"module:{module_id}"
+    budget = ctx.index.algo_params.max_eviction_depth
+    floor: Optional[float] = None  # utility of the walk's first singleton-held spot
     for spot_id in ctx.preference_order(module_id, state):
         holder = state.selector_of(spot_id)
         chain: list[tuple[int, int]] = []  # stays empty when the spot is free
-        if holder is None or (state.selector_kind.get(holder) == SINGLETON
-                              and evict(module_id, holder, 0, state, ctx, chain)):
-            state.select(spot_id, module_id, SINGLETON)
-            for evicted_id, _ in reversed(chain):  # direct blocker first
-                spot_allocation(evicted_id, state, ctx)
-            state.log(actor, SELECTION_BROADCAST,
-                      {"selections": {str(spot_id): module_id}})
-            return spot_id
+        if holder is not None:
+            if state.selector_kind.get(holder) != SINGLETON:
+                continue
+            if (_bound_rejects(module_id, holder, floor, state, ctx)
+                    or not _reaches_free_spot(holder, budget, state, ctx)
+                    or not evict(module_id, holder, 0, state, ctx, chain)):
+                if floor is None:
+                    floor = ctx.utility(module_id, spot_id, state)
+                continue
+        state.select(spot_id, module_id, SINGLETON)
+        for evicted_id, _ in reversed(chain):  # direct blocker first
+            spot_allocation(evicted_id, state, ctx)
+        state.log(actor, SELECTION_BROADCAST, {"selections": {str(spot_id): module_id}})
+        return spot_id
     state.log(actor, NO_SPOT_FOUND, {"module": module_id})
     return None
 

@@ -192,6 +192,18 @@ def _check_tree(node_ids: Sequence[int], edges: Iterable[tuple[int, int]],
             raise NotATreeError(f"{what}: not connected ({len(seen)}/{len(nodes)} reachable)")
 
 
+def validate_algo_params(ap: AlgoParams) -> AlgoParams:
+    """Check the algorithm bounds; return them unchanged or raise a
+    ``ScenarioError`` naming the first bad one."""
+    if ap.max_eviction_depth < 0:
+        raise ScenarioError("max_eviction_depth must be >= 0")
+    if ap.max_embeddings < 1:
+        raise ScenarioError("max_embeddings must be >= 1")
+    if ap.max_degree < 1:
+        raise ScenarioError("max_degree must be >= 1")
+    return ap
+
+
 def validate_scenario(scenario: Scenario) -> Scenario:
     """Check every structural invariant; return the scenario unchanged.
 
@@ -208,13 +220,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     if cp.c_dock <= cp.c_undock:
         warnings.warn("expected c_dock > c_undock; docking should cost more than undocking",
                       stacklevel=2)
-    ap = scenario.algo_params
-    if ap.max_eviction_depth < 0:
-        raise ScenarioError("max_eviction_depth must be >= 0")
-    if ap.max_embeddings < 1:
-        raise ScenarioError("max_embeddings must be >= 1")
-    if ap.max_degree < 1:
-        raise ScenarioError("max_degree must be >= 1")
+    ap = validate_algo_params(scenario.algo_params)
 
     module_by_id: dict[int, Module] = {}
     for m in scenario.modules:

@@ -22,7 +22,14 @@ from .auction import AuctionParams, auction_assign, singleton_utility_matrix
 from .generate import GenParams, generate_scenario, random_tree_configuration
 from .isomorphism import TargetStates, best_embeddings
 from .metrics import spot_values
-from .model import AlgoParams, CostParams, Scenario, ScenarioIndex, planar_distance
+from .model import (
+    AlgoParams,
+    CostParams,
+    Scenario,
+    ScenarioIndex,
+    planar_distance,
+    validate_algo_params,
+)
 from .scenario_io import load_scenario
 from .simulate import run_planning, run_scenario
 
@@ -170,9 +177,12 @@ SWEEP_KINDS = tuple(_KINDS)
 
 def run_sweep(kind: str, params: SweepParams = SweepParams()) -> SweepReport:
     """Measure ``params.runs`` seeded runs at every point of the kind's grid
-    (or ``params.points``) and report one mean/std row per point."""
+    (or ``params.points``) and report one mean/std row per point.  Bad
+    algorithm bounds raise ``ScenarioError`` before any run, rather than
+    failing every run."""
     if kind not in _KINDS:
         raise ValueError(f"unknown sweep kind '{kind}' (expected one of {SWEEP_KINDS})")
+    validate_algo_params(params.algo_params)
     spec = _KINDS[kind]
     columns = [spec.point] + [f"{name}_{stat}" for name in spec.measured
                               for stat in ("mean", "std")]

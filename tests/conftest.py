@@ -147,6 +147,19 @@ def singleton_scenarios(draw, min_modules=1, max_modules=6, extra_modules=0):
     return singleton_scenario(positions, target, seed=seed)
 
 
+def random_partial_state(scenario: Scenario, rng: random.Random) -> AllocationState:
+    """Random modules of the scenario, block members among them, on random
+    spots."""
+    modules = [m.id for m in scenario.modules]
+    spots = [s.id for s in scenario.target.spots]
+    rng.shuffle(modules)
+    rng.shuffle(spots)
+    state = AllocationState()
+    for module_id, spot_id in zip(modules[:rng.randint(0, len(spots))], spots):
+        state.select(spot_id, module_id, rng.choice([SINGLETON, BLOCK_MEMBER]))
+    return state
+
+
 @st.composite
 def partial_states(draw):
     """A mixed scenario and a partial allocation: random modules, block
@@ -156,15 +169,64 @@ def partial_states(draw):
     seed = draw(st.integers(min_value=0, max_value=2 ** 16))
     scenario = generate_scenario(GenParams(n_spots=n, seed=seed, config_size_range=(2, 6)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 16)))
-    modules = [m.id for m in scenario.modules]
+    state = random_partial_state(scenario, rng)
     spots = [s.id for s in scenario.target.spots]
-    rng.shuffle(modules)
-    rng.shuffle(spots)
-    state = AllocationState()
-    for module_id, spot_id in zip(modules[:rng.randint(0, n)], spots):
-        state.select(spot_id, module_id, rng.choice([SINGLETON, BLOCK_MEMBER]))
     contested = {m.id: rng.choice(spots) for m in scenario.modules}
     return scenario, state, contested
+
+
+@st.composite
+def generated_scenarios(draw):
+    """Generator scenarios: mixed, equal-size blocks or singletons only."""
+    n = draw(st.integers(min_value=3, max_value=24))
+    seed = draw(st.integers(min_value=0, max_value=2 ** 20))
+    shape = draw(st.sampled_from(({}, {"equal_config_size": 3}, {"singletons_only": True})))
+    algo = AlgoParams(max_eviction_depth=draw(st.integers(min_value=0, max_value=4)),
+                      max_embeddings=draw(st.sampled_from((1, 20))))
+    return generate_scenario(GenParams(n_spots=n, seed=seed, algo_params=algo, **shape))
+
+
+@st.composite
+def grid_scenarios(draw, max_spots=10):
+    """Integer-grid scenarios, full of exact ties: a target grown as a tree
+    on the unit grid, modules at integer points of [-3, 3]^2, singletons
+    plus configurations of 2-4 members, and an eviction depth of 0-4."""
+    n = draw(st.integers(min_value=2, max_value=max_spots))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 20)))
+    cells, edges, degree = [(0, 0)], [], [0]
+    while len(cells) < n:
+        # the cell furthest along any axis has a free side, so this is never empty
+        grow = [(i, (x + dx, y + dy)) for i, (x, y) in enumerate(cells) if degree[i] < 3
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
+                if (x + dx, y + dy) not in cells]
+        parent, cell = rng.choice(grow)
+        edges.append((parent, len(cells)))
+        degree[parent] += 1
+        degree.append(1)
+        cells.append(cell)
+    target = target_from_edges(n, edges, [(float(x), float(y)) for x, y in cells])
+
+    n_modules = n + draw(st.integers(min_value=0, max_value=2))
+    ids = list(range(n_modules))
+    rng.shuffle(ids)
+    members_of: list[list[int]] = []
+    while len(ids) >= 2 and draw(st.booleans()):
+        size = min(len(ids), draw(st.integers(min_value=2, max_value=4)))
+        members_of.append(sorted(ids[:size]))
+        ids = ids[size:]
+    config_of = {m: c for c, members in enumerate(members_of) for m in members}
+    modules = tuple(Module(i, Pose(float(rng.randint(-3, 3)), float(rng.randint(-3, 3))),
+                           config_of.get(i))
+                    for i in range(n_modules))
+    configurations = tuple(Configuration(
+        id=c, member_ids=tuple(members),
+        edges=frozenset(normalize_edge(members[a], members[b])
+                        for a, b in tree_edges_from_seed(len(members), rng.randrange(2 ** 20))),
+        leader_id=choose_leader([modules[m] for m in members]))
+        for c, members in enumerate(members_of))
+    algo = AlgoParams(max_eviction_depth=draw(st.integers(min_value=0, max_value=4)))
+    return validate_scenario(Scenario(modules=modules, configurations=configurations,
+                                      target=target, algo_params=algo))
 
 
 @pytest.fixture

@@ -1,8 +1,11 @@
+import dataclasses
+import random
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
+from shapeform import allocation
 from shapeform.allocation import (
     BLOCK_MEMBER,
     DISCONNECT,
@@ -12,6 +15,8 @@ from shapeform.allocation import (
     AllocationError,
     AllocationState,
     PlanContext,
+    _bound_rejects,
+    _reaches_free_spot,
     block_allocation,
     evict,
     spot_allocation,
@@ -28,10 +33,14 @@ from shapeform.model import (
     TargetConfiguration,
     validate_scenario,
 )
+from shapeform.simulate import run_planning
 from conftest import (
     config_from_edges,
+    generated_scenarios,
+    grid_scenarios,
     partial_states,
     path_target,
+    random_partial_state,
     singleton_scenario,
     singleton_scenarios,
 )
@@ -429,3 +438,60 @@ def test_rescored_spot_ties_with_fixed_spot():
     assert order == brute_order(lambda s: ctx.utility(0, s, state),
                                 tuple(sorted(index.spot_by_id)))
     assert order.index(1) < order.index(3)
+
+
+@st.composite
+def contest_states(draw):
+    """A scenario full of exact ties (integer grid) or of links to placed
+    partners (generated, mixed), a random partial allocation on it and an
+    eviction depth of 0-4."""
+    if draw(st.booleans()):
+        scenario = draw(grid_scenarios())
+        state = random_partial_state(scenario, random.Random(draw(st.integers(0, 2 ** 16))))
+    else:
+        scenario, state, _ = draw(partial_states())
+    algo = dataclasses.replace(scenario.algo_params,
+                               max_eviction_depth=draw(st.integers(min_value=0, max_value=4)))
+    return dataclasses.replace(scenario, algo_params=algo), state
+
+
+@settings(max_examples=300)
+@given(contest_states())
+def test_skipped_contests_are_ones_evict_rejects(drawn):
+    """Every contest a walk would skip fails in ``evict`` and changes nothing.
+    Each unplaced module contests every singleton-held spot in its order,
+    the first of them setting the utility floor for the later ones."""
+    scenario, state = drawn
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext.build(index, spot_values(scenario.target))
+    budget = index.algo_params.max_eviction_depth
+    selections = dict(state.selections)
+    for module in scenario.modules:
+        if state.spot_of(module.id) is not None:
+            continue
+        floor = None
+        for spot_id in ctx.preference_order(module.id, state):
+            holder = state.selector_of(spot_id)
+            if holder is None or state.selector_kind[holder] != SINGLETON:
+                continue
+            if (_bound_rejects(module.id, holder, floor, state, ctx)
+                    or not _reaches_free_spot(holder, budget, state, ctx)):
+                chain = []
+                assert not evict(module.id, holder, 0, state, ctx, chain)
+                assert chain == [] and state.selections == selections
+            if floor is None:
+                floor = ctx.utility(module.id, spot_id, state)
+
+
+@settings(max_examples=150)
+@given(st.one_of(generated_scenarios(), grid_scenarios()))
+def test_skipping_contests_leaves_the_plan_unchanged(scenario):
+    """The same plan, bit for bit, with every contest handed to ``evict``."""
+    skipping = run_planning(scenario)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocation, "_bound_rejects", lambda *args: False)
+        patch.setattr(allocation, "_reaches_free_spot", lambda *args: True)
+        plain = run_planning(scenario)
+    assert skipping.event_log == plain.event_log
+    assert skipping.disconnections == plain.disconnections
+    assert skipping.metrics.total_utility.hex() == plain.metrics.total_utility.hex()

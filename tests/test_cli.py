@@ -65,6 +65,21 @@ def test_sweep_csv_output(tmp_path):
     assert out.read_text().startswith("n_modules,")
 
 
+@pytest.mark.parametrize("option, value, name", [("--max-embeddings", "0", "max_embeddings"),
+                                                 ("--dmax", "-1", "max_eviction_depth")])
+def test_sweep_rejects_invalid_bounds_up_front(tmp_path, option, value, name):
+    """Bad bounds fail the sweep once, before any run, and write no report."""
+    runner = CliRunner()
+    out = tmp_path / "sweep.csv"
+    result = runner.invoke(main, ["sweep", "scaling", "--points", "6", "--runs", "1",
+                                  option, value, "--out", str(out)])
+    assert result.exit_code != 0
+    assert isinstance(result.exception, ScenarioError)
+    assert name in str(result.exception)
+    assert "failed runs" not in result.output
+    assert not out.exists()
+
+
 def test_sweep_table1_json(tmp_path):
     runner = CliRunner()
     out = tmp_path / "table.json"

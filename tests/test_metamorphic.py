@@ -19,27 +19,23 @@ in module id order before any decision, so they are left out.
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from shapeform.allocation import POSITION_BROADCAST
 from shapeform.generate import GenParams, generate_scenario
 from shapeform.model import (
-    AlgoParams,
     Configuration,
     Module,
     Pose,
     Scenario,
     Spot,
     TargetConfiguration,
-    choose_leader,
     normalize_edge,
     validate_scenario,
 )
 from shapeform.simulate import run_planning, run_scenario
 
-from conftest import singleton_scenarios, target_from_edges, tree_edges_from_seed
+from conftest import generated_scenarios, grid_scenarios, singleton_scenarios
 
 SYMMETRIES = {
     "mirror_x": lambda x, y: (-x, y),
@@ -92,60 +88,6 @@ def signature(result, module_id=_identity, spot_id=_identity, config_id=_identit
                       for d in result.disconnections]
     return (pairs(result.allocation), events, disconnections,
             result.metrics.total_utility)
-
-
-@st.composite
-def generated_scenarios(draw):
-    """Generator scenarios: mixed, equal-size blocks or singletons only."""
-    n = draw(st.integers(min_value=3, max_value=24))
-    seed = draw(st.integers(min_value=0, max_value=2 ** 20))
-    shape = draw(st.sampled_from(({}, {"equal_config_size": 3}, {"singletons_only": True})))
-    algo = AlgoParams(max_eviction_depth=draw(st.integers(min_value=0, max_value=4)),
-                      max_embeddings=draw(st.sampled_from((1, 20))))
-    return generate_scenario(GenParams(n_spots=n, seed=seed, algo_params=algo, **shape))
-
-
-@st.composite
-def grid_scenarios(draw, max_spots=10):
-    """Integer-grid scenarios, full of exact ties: a target grown as a tree
-    on the unit grid, modules at integer points of [-3, 3]^2, singletons
-    plus configurations of 2-4 members, and an eviction depth of 0-4."""
-    n = draw(st.integers(min_value=2, max_value=max_spots))
-    rng = random.Random(draw(st.integers(min_value=0, max_value=2 ** 20)))
-    cells, edges, degree = [(0, 0)], [], [0]
-    while len(cells) < n:
-        # the cell furthest along any axis has a free side, so this is never empty
-        grow = [(i, (x + dx, y + dy)) for i, (x, y) in enumerate(cells) if degree[i] < 3
-                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1))
-                if (x + dx, y + dy) not in cells]
-        parent, cell = rng.choice(grow)
-        edges.append((parent, len(cells)))
-        degree[parent] += 1
-        degree.append(1)
-        cells.append(cell)
-    target = target_from_edges(n, edges, [(float(x), float(y)) for x, y in cells])
-
-    n_modules = n + draw(st.integers(min_value=0, max_value=2))
-    ids = list(range(n_modules))
-    rng.shuffle(ids)
-    members_of: list[list[int]] = []
-    while len(ids) >= 2 and draw(st.booleans()):
-        size = min(len(ids), draw(st.integers(min_value=2, max_value=4)))
-        members_of.append(sorted(ids[:size]))
-        ids = ids[size:]
-    config_of = {m: c for c, members in enumerate(members_of) for m in members}
-    modules = tuple(Module(i, Pose(float(rng.randint(-3, 3)), float(rng.randint(-3, 3))),
-                           config_of.get(i))
-                    for i in range(n_modules))
-    configurations = tuple(Configuration(
-        id=c, member_ids=tuple(members),
-        edges=frozenset(normalize_edge(members[a], members[b])
-                        for a, b in tree_edges_from_seed(len(members), rng.randrange(2 ** 20))),
-        leader_id=choose_leader([modules[m] for m in members]))
-        for c, members in enumerate(members_of))
-    algo = AlgoParams(max_eviction_depth=draw(st.integers(min_value=0, max_value=4)))
-    return validate_scenario(Scenario(modules=modules, configurations=configurations,
-                                      target=target, algo_params=algo))
 
 
 scenarios = st.one_of(generated_scenarios(), grid_scenarios())
