@@ -284,3 +284,34 @@ class ReferenceSingletonPlanner:
             if module_id not in self.selection.values():
                 self.allocate(module_id)
         return dict(self.selection)
+
+
+def reference_evict(curr, block, depth, state, ctx):
+    """The eviction contest in pre-order: score the hop, recurse to the
+    holder of the blocker's best alternative, then unselect on the way
+    back.  Returns the (module, freed spot) chain, deepest first, or
+    ``None``.  Both best alternatives come from a full scan of
+    ``ctx.utility`` over every spot but the contested one and those held
+    by block members, ties to the lower id."""
+    if depth >= ctx.index.algo_params.max_eviction_depth:
+        return None
+    contested = state.spot_of(block)
+    eligible = [s for s in sorted(ctx.index.spot_by_id) if s != contested
+                and state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER]
+    if not eligible:
+        return None
+
+    def best(module_id):
+        return max(eligible, key=lambda s: (ctx.utility(module_id, s, state), -s))
+
+    block_best, curr_alt = best(block), best(curr)
+    gain = ctx.utility(curr, contested, state) + ctx.utility(block, block_best, state)
+    keep = ctx.utility(curr, curr_alt, state) + ctx.utility(block, contested, state)
+    if not gain > keep:
+        return None
+    holder = state.selector_of(block_best)
+    chain = [] if holder is None else reference_evict(block, holder, depth + 1, state, ctx)
+    if chain is None:
+        return None
+    chain.append((block, state.unselect(block)))
+    return chain

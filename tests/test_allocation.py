@@ -44,7 +44,7 @@ from conftest import (
     singleton_scenario,
     singleton_scenarios,
 )
-from oracles import ReferenceSingletonPlanner, reference_spot_cost
+from oracles import ReferenceSingletonPlanner, reference_evict, reference_spot_cost
 
 
 def seeded_context(scenario, tables):
@@ -453,6 +453,36 @@ def contest_states(draw):
     algo = dataclasses.replace(scenario.algo_params,
                                max_eviction_depth=draw(st.integers(min_value=0, max_value=4)))
     return dataclasses.replace(scenario, algo_params=algo), state
+
+
+def copied(state):
+    """A fresh state holding the same selections."""
+    copy = AllocationState()
+    for spot_id, module_id in state.selections.items():
+        copy.select(spot_id, module_id, state.selector_kind[module_id])
+    return copy
+
+
+@settings(max_examples=200)
+@given(contest_states())
+def test_evict_matches_the_pre_order_reference(drawn):
+    """Every contest an unplaced module can start over a singleton-held spot
+    gives the reference's chain, or ``None`` for both, and leaves the same
+    selections behind."""
+    scenario, state = drawn
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext.build(index, spot_values(scenario.target))
+    for module in scenario.modules:
+        if state.spot_of(module.id) is not None:
+            continue
+        for spot_id, holder in sorted(state.selections.items()):
+            if state.selector_kind[holder] != SINGLETON:
+                continue
+            engine, reference = copied(state), copied(state)
+            chain = []
+            got = chain if evict(module.id, holder, 0, engine, ctx, chain) else None
+            assert got == reference_evict(module.id, holder, 0, reference, ctx)
+            assert engine.selections == reference.selections
 
 
 @settings(max_examples=300)
