@@ -8,18 +8,15 @@ accepted eviction must strictly raise the combined utility of the two
 modules involved.
 
 A singleton walking its preference order skips, without calling ``evict``,
-every contest that ``evict`` would reject anyway.  Two tests find them; each
-rejects only contests that fail, and a failed ``evict`` changes nothing, so
-the plan is the same with or without them:
-
-- the utility bound (``_bound_rejects``, holders without links): the walk's
-  first singleton-held spot stays eligible as the walker's alternative in
-  every later contest, and the holder can gain at most its table maximum
-  outside the contested spot; the test is ``evict``'s own sum, so float
-  rounding moves both sides the same way and ties are decided alike;
-- the reach test (``_reaches_free_spot``, every holder): while nothing is
-  unselected the holders ``evict`` recurses through form a fixed chain, and
-  a chain that meets no free spot within the depth bound always fails.
+every contest that the utility bound (``_bound_rejects``, holders without
+links) shows ``evict`` would reject: the walk's first singleton-held spot
+stays eligible as the walker's alternative in every later contest, and the
+holder can gain at most its table maximum outside the contested spot.  The
+test is ``evict``'s own sum, so float rounding moves both sides the same way
+and ties are decided alike; a failed ``evict`` changes nothing, so the plan
+is the same with or without the bound.  Reach needs no test of its own:
+``evict`` follows the chain of holders to a free spot before it scores any
+hop, so a chain that meets none within the depth bound fails unscored.
 """
 
 from __future__ import annotations
@@ -28,7 +25,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 from .isomorphism import Embedding, TargetStates, best_embeddings, order_embeddings
 from .metrics import target_center
@@ -172,18 +169,23 @@ class PlanContext:
         return near
 
     def best_spot(self, module_id: int, state: AllocationState,
-                  excluded: Callable[[int], bool]) -> Optional[int]:
-        """The spot maximising ``(utility, -id)`` among those not excluded,
-        or ``None`` if every spot is excluded.
+                  contested: int) -> Optional[int]:
+        """The spot maximising ``(utility, -id)`` among every spot but
+        ``contested`` and those held by block members, or ``None`` if no
+        spot is left: the best alternative in an eviction contest.
 
         Spots off the re-scored set keep their table utility, so the best of
         them is the first one the fixed order reaches; it competes with the
         re-scored spots under the same key a full scan would use.
         """
+        def eligible(spot_id: int) -> bool:
+            return (spot_id != contested
+                    and state.selector_kind.get(state.selector_of(spot_id)) != BLOCK_MEMBER)
+
         near = self._near_partners(module_id, state)
-        keys = [(self.utility(module_id, s, state), -s) for s in near if not excluded(s)]
+        keys = [(self.utility(module_id, s, state), -s) for s in near if eligible(s)]
         for spot_id in self._order(module_id):
-            if spot_id not in near and not excluded(spot_id):
+            if spot_id not in near and eligible(spot_id):
                 keys.append((self._table(module_id)[spot_id], -spot_id))
                 break
         return -max(keys)[1] if keys else None
@@ -215,51 +217,49 @@ class BlockResult:
 
 
 def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
-          ctx: PlanContext, chain: list[tuple[int, int]]) -> bool:
+          ctx: PlanContext) -> Optional[list[tuple[int, int]]]:
     """Try to cancel ``block_id``'s selection so ``curr_id`` can take it.
 
-    Succeeds only when the combined utility of (curr at the contested spot,
-    blocker at its best alternative) strictly beats leaving things as they
-    are, and the alternative spot is free or can itself be freed within the
-    remaining recursion budget.  Both best alternatives range over every
-    spot except the contested one and those held by block members; each is
-    found by ``PlanContext.best_spot``, which walks the module's fixed
-    preference order and re-scores only spots next to its placed link
-    partners, and returns exactly what a scan of every spot would.  On
-    success the blocker's selection is removed and (module, freed spot)
-    appended to ``chain``; the caller re-runs allocation for evicted modules
-    once its own selection is recorded, or restores the pairs to roll the
-    attempt back.
+    Chain first: the blocker's best alternative is found, and if another
+    singleton holds it the contest recurses to that holder, until a free
+    spot is met; a chain that meets none within the depth bound fails
+    before any hop is scored.  Each hop is then scored on return: it stands
+    only if the combined utility of (curr at the contested spot, blocker at
+    its best alternative) strictly beats (curr at its own best alternative,
+    blocker where it is).  Every hop is scored against the call's state,
+    since nothing is unselected until the whole chain has passed; only the
+    depth-0 call then removes the chain's selections.  Both best
+    alternatives range over every spot except the contested one and those
+    held by block members (``PlanContext.best_spot``).
+
+    Returns the (module, freed spot) chain, deepest hop first, or ``None``
+    with the state unchanged.  The caller re-runs allocation for evicted
+    modules once its own selection is recorded, or restores the pairs to
+    roll the attempt back.
     """
     if state.selector_kind.get(block_id) != SINGLETON:
         raise AllocationError(f"module {block_id} holds no singleton selection to evict")
     if depth >= ctx.index.algo_params.max_eviction_depth:
-        return False
+        return None
     contested = state.spot_of(block_id)
-    excluded = _excluding(contested, state)
-    block_best = ctx.best_spot(block_id, state, excluded)
+    block_best = ctx.best_spot(block_id, state, contested)
     if block_best is None:
-        return False
-    curr_alt = ctx.best_spot(curr_id, state, excluded)
+        return None
+    # ``best_spot`` skips block-held spots, so the holder is a singleton or None
+    holder = state.selector_of(block_best)
+    chain = [] if holder is None else evict(block_id, holder, depth + 1, state, ctx)
+    if chain is None:
+        return None
+    curr_alt = ctx.best_spot(curr_id, state, contested)
     gain = ctx.utility(curr_id, contested, state) + ctx.utility(block_id, block_best, state)
     keep = ctx.utility(curr_id, curr_alt, state) + ctx.utility(block_id, contested, state)
     if not gain > keep:
-        return False
-    # ``excluded`` drops block-held spots, so the holder is a singleton or None
-    holder = state.selector_of(block_best)
-    if holder is None or evict(block_id, holder, depth + 1, state, ctx, chain):
-        chain.append((block_id, state.unselect(block_id)))
-        return True
-    return False
-
-
-def _excluding(contested: int, state: AllocationState) -> Callable[[int], bool]:
-    """The spots an eviction contest over ``contested`` leaves out of both
-    best alternatives: the contested spot and every block-held spot."""
-    def excluded(spot_id: int) -> bool:
-        return (spot_id == contested
-                or state.selector_kind.get(state.selector_of(spot_id)) == BLOCK_MEMBER)
-    return excluded
+        return None
+    chain.append((block_id, contested))
+    if depth == 0:
+        for module_id, _ in chain:
+            state.unselect(module_id)
+    return chain
 
 
 def _bound_rejects(curr_id: int, block_id: int, floor: Optional[float],
@@ -280,24 +280,6 @@ def _bound_rejects(curr_id: int, block_id: int, floor: Optional[float],
                 > floor + ctx.utility(block_id, contested, state))
 
 
-def _reaches_free_spot(block_id: int, budget: int, state: AllocationState,
-                       ctx: PlanContext) -> bool:
-    """Whether the chain of holders an eviction of ``block_id`` recurses
-    through meets a free spot within ``budget`` hops.  Until an eviction
-    succeeds nothing is unselected, so each hop is fixed by the state: the
-    holder's best spot outside its own and the block-held ones, and that
-    spot's holder.  If the chain never meets a free spot, ``evict`` fails
-    whatever the utilities."""
-    for _ in range(budget):
-        best = ctx.best_spot(block_id, state, _excluding(state.spot_of(block_id), state))
-        if best is None:
-            return False
-        block_id = state.selector_of(best)
-        if block_id is None:
-            return True
-    return False
-
-
 def spot_allocation(module_id: int, state: AllocationState, ctx: PlanContext) -> Optional[int]:
     """Select a spot for a singleton module; returns the spot id or ``None``.
 
@@ -308,25 +290,23 @@ def spot_allocation(module_id: int, state: AllocationState, ctx: PlanContext) ->
     broadcast is logged and ``None`` returned.
 
     A contest is skipped, without calling ``evict``, when the utility bound
-    (``_bound_rejects``, holders without links) or the reach test
-    (``_reaches_free_spot``) shows that ``evict`` would reject it.  A
-    rejected contest changes no state, so every test reads the state the
-    walk started from and the walk's first held spot stays eligible as this
-    module's alternative in every later contest; the plan is therefore the
-    same, bit for bit, as with every contest run.
+    (``_bound_rejects``, holders without links) shows that ``evict`` would
+    reject it.  A rejected contest changes no state, so every bound reads
+    the state the walk started from and the walk's first held spot stays
+    eligible as this module's alternative in every later contest; the plan
+    is therefore the same, bit for bit, as with every contest run.
     """
     actor = f"module:{module_id}"
-    budget = ctx.index.algo_params.max_eviction_depth
     floor: Optional[float] = None  # utility of the walk's first singleton-held spot
     for spot_id in ctx.preference_order(module_id, state):
         holder = state.selector_of(spot_id)
-        chain: list[tuple[int, int]] = []  # stays empty when the spot is free
+        chain: Optional[list[tuple[int, int]]] = []  # stays empty when the spot is free
         if holder is not None:
             if state.selector_kind.get(holder) != SINGLETON:
                 continue
-            if (_bound_rejects(module_id, holder, floor, state, ctx)
-                    or not _reaches_free_spot(holder, budget, state, ctx)
-                    or not evict(module_id, holder, 0, state, ctx, chain)):
+            chain = (None if _bound_rejects(module_id, holder, floor, state, ctx)
+                     else evict(module_id, holder, 0, state, ctx))
+            if chain is None:
                 if floor is None:
                     floor = ctx.utility(module_id, spot_id, state)
                 continue
@@ -413,8 +393,8 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
             holder = state.selector_of(spot_id)
             if holder is None:
                 continue  # free, or freed by an earlier chain of this attempt
-            chain: list[tuple[int, int]] = []
-            if evict(member_id, holder, 0, state, ctx, chain):
+            chain = evict(member_id, holder, 0, state, ctx)
+            if chain is not None:
                 chains.append(chain)
             elif last:
                 blocked.append(member_id)

@@ -9,8 +9,9 @@ from pathlib import Path
 import click
 
 from .generate import GenParams, generate_scenario
-from .model import AlgoParams, validate_scenario
-from .scenario_io import export_event_log, load_scenario, save_result, save_scenario
+from .model import AlgoParams, ScenarioError, validate_scenario
+from .scenario_io import (ParseError, export_event_log, load_scenario, save_result,
+                          save_scenario)
 from .simulate import run_scenario
 from .sweeps import SWEEP_KINDS, SweepParams, run_cases, run_sweep
 
@@ -29,7 +30,18 @@ def _parse_points(text: str) -> tuple[int, ...]:
     return tuple(int(p) for p in text.split(",") if p.strip())
 
 
-@click.group()
+class _Main(click.Group):
+    """Reports a bad scenario file or parameter as one ``Error:`` line and
+    exit code 1; engine errors keep their traceback."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ScenarioError, ParseError) as error:
+            raise click.ClickException(str(error)) from error
+
+
+@click.group(cls=_Main)
 def main() -> None:
     """Configuration-formation planner and experiment harness."""
 

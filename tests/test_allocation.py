@@ -16,7 +16,6 @@ from shapeform.allocation import (
     AllocationState,
     PlanContext,
     _bound_rejects,
-    _reaches_free_spot,
     block_allocation,
     evict,
     spot_allocation,
@@ -90,7 +89,8 @@ def test_evict_depth_bound():
                                     1: {0: 1.0, 1: 9.0, 2: 9.0}})
     state = AllocationState()
     state.select(0, 1, SINGLETON)
-    assert evict(0, 1, 0, state, ctx, []) is False
+    assert evict(0, 1, 0, state, ctx) is None
+    assert state.selections == {0: 1}
 
 
 def test_evict_inequality_accepts():
@@ -100,9 +100,7 @@ def test_evict_inequality_accepts():
                                     1: {0: 10.0, 1: 9.0, 2: -99.0}})
     state = AllocationState()
     state.select(0, 1, SINGLETON)
-    chain = []
-    assert evict(0, 1, 0, state, ctx, chain) is True  # 10+9 > 2+10
-    assert chain == [(1, 0)]
+    assert evict(0, 1, 0, state, ctx) == [(1, 0)]  # 10+9 > 2+10
     assert state.selector_of(0) is None
 
 
@@ -112,7 +110,8 @@ def test_evict_inequality_rejects():
                                     1: {0: 10.0, 1: 2.0, 2: -99.0}})
     state = AllocationState()
     state.select(0, 1, SINGLETON)
-    assert evict(0, 1, 0, state, ctx, []) is False  # 10+2 < 9+10
+    assert evict(0, 1, 0, state, ctx) is None  # 10+2 < 9+10
+    assert state.selections == {0: 1}
 
 
 def chain_tables():
@@ -333,6 +332,29 @@ def test_pathological_no_common_shape_disconnects_everyone():
     assert len(state.disconnections) == 1
 
 
+def test_scattered_members_at_equal_distance_go_in_id_order():
+    """A block that finds no embedding scatters its members by distance from
+    the target centre; members at equal distance go lower id first."""
+    target = path_target(2)  # centre (0.5, 0)
+    modules = [Module(0, Pose(0.0, 1.0), config_id=0),
+               Module(1, Pose(1.0, 1.0), config_id=0),
+               Module(2, Pose(0.5, 6.0), config_id=1),
+               Module(3, Pose(0.5, -6.0), config_id=1)]
+    configs = (config_from_edges((0, 1), [(0, 1)]),
+               config_from_edges((2, 3), [(2, 3)], config_id=1))
+    scenario = validate_scenario(Scenario(
+        modules=tuple(modules), configurations=configs, target=target))
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext.build(index, spot_values(scenario.target))
+    state = AllocationState()
+    block_allocation(0, state, ctx)
+    assert state.selections == {0: 0, 1: 1}  # the first block takes the whole target
+    result = block_allocation(1, state, ctx)
+    assert result.embedding is None
+    assert [e.actor for e in state.event_log if e.event_type == DISCONNECT] == \
+        ["module:2", "module:3"]
+
+
 @settings(max_examples=30)
 @given(singleton_scenarios(min_modules=2, max_modules=5))
 def test_selections_stay_injective(scenario):
@@ -371,11 +393,12 @@ def test_evicting_a_block_member_raises():
     state.select(0, 1, BLOCK_MEMBER)
     for depth in (0, ctx.index.algo_params.max_eviction_depth):  # also at the depth bound
         with pytest.raises(AllocationError, match="module 1"):
-            evict(0, 1, depth, state, ctx, [])
+            evict(0, 1, depth, state, ctx)
 
 
-def brute_best(utility, spot_ids, excluded):
-    eligible = [s for s in spot_ids if not excluded(s)]
+def brute_best(utility, spot_ids, state, contested):
+    eligible = [s for s in spot_ids if s != contested
+                and state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER]
     return max(eligible, key=lambda s: (utility(s), -s)) if eligible else None
 
 
@@ -394,12 +417,9 @@ def test_best_spot_and_order_match_full_scan(drawn):
             return ctx.values[s] - reference_spot_cost(module, index.spot_by_id[s], index,
                                                        state, index.cost_params)
 
-        def excluded(s, c=contested[module.id]):
-            return s == c or state.selector_kind.get(state.selector_of(s)) == BLOCK_MEMBER
-
         spot_ids = tuple(sorted(index.spot_by_id))
-        assert ctx.best_spot(module.id, state, excluded) == \
-            brute_best(utility, spot_ids, excluded)
+        assert ctx.best_spot(module.id, state, contested[module.id]) == \
+            brute_best(utility, spot_ids, state, contested[module.id])
         assert ctx.preference_order(module.id, state) == brute_order(utility, spot_ids)
 
 
@@ -410,10 +430,12 @@ def test_best_spot_ties_go_to_lower_id_in_seeded_tables():
     state = AllocationState()
     assert ctx.preference_order(0, state) == [0, 1, 2]
     assert ctx.preference_order(1, state) == [1, 2, 0]
-    assert ctx.best_spot(0, state, lambda s: False) == 0
-    assert ctx.best_spot(0, state, lambda s: s == 0) == 1
-    assert ctx.best_spot(1, state, lambda s: s == 1) == 2
-    assert ctx.best_spot(1, state, lambda s: True) is None
+    assert ctx.best_spot(0, state, 2) == 0
+    assert ctx.best_spot(0, state, 0) == 1
+    assert ctx.best_spot(1, state, 1) == 2
+    state.select(0, 10, BLOCK_MEMBER)
+    state.select(2, 12, BLOCK_MEMBER)
+    assert ctx.best_spot(1, state, 1) is None  # the others are block-held
 
 
 def test_rescored_spot_ties_with_fixed_spot():
@@ -433,7 +455,7 @@ def test_rescored_spot_ties_with_fixed_spot():
     state = AllocationState()
     state.select(4, 1, BLOCK_MEMBER)  # partner next to spot 3 only
     assert ctx.utility(0, 1, state) == ctx.utility(0, 3, state)
-    assert ctx.best_spot(0, state, lambda s: s == 2) == 1
+    assert ctx.best_spot(0, state, 2) == 1
     order = ctx.preference_order(0, state)
     assert order == brute_order(lambda s: ctx.utility(0, s, state),
                                 tuple(sorted(index.spot_by_id)))
@@ -479,22 +501,21 @@ def test_evict_matches_the_pre_order_reference(drawn):
             if state.selector_kind[holder] != SINGLETON:
                 continue
             engine, reference = copied(state), copied(state)
-            chain = []
-            got = chain if evict(module.id, holder, 0, engine, ctx, chain) else None
-            assert got == reference_evict(module.id, holder, 0, reference, ctx)
+            assert evict(module.id, holder, 0, engine, ctx) == \
+                reference_evict(module.id, holder, 0, reference, ctx)
             assert engine.selections == reference.selections
 
 
 @settings(max_examples=300)
 @given(contest_states())
 def test_skipped_contests_are_ones_evict_rejects(drawn):
-    """Every contest a walk would skip fails in ``evict`` and changes nothing.
-    Each unplaced module contests every singleton-held spot in its order,
-    the first of them setting the utility floor for the later ones."""
+    """Every contest the utility bound skips fails in ``evict`` and changes
+    nothing.  Each unplaced module contests every singleton-held spot in
+    its order, the first of them setting the utility floor for the later
+    ones."""
     scenario, state = drawn
     index = ScenarioIndex.build(scenario)
     ctx = PlanContext.build(index, spot_values(scenario.target))
-    budget = index.algo_params.max_eviction_depth
     selections = dict(state.selections)
     for module in scenario.modules:
         if state.spot_of(module.id) is not None:
@@ -504,11 +525,9 @@ def test_skipped_contests_are_ones_evict_rejects(drawn):
             holder = state.selector_of(spot_id)
             if holder is None or state.selector_kind[holder] != SINGLETON:
                 continue
-            if (_bound_rejects(module.id, holder, floor, state, ctx)
-                    or not _reaches_free_spot(holder, budget, state, ctx)):
-                chain = []
-                assert not evict(module.id, holder, 0, state, ctx, chain)
-                assert chain == [] and state.selections == selections
+            if _bound_rejects(module.id, holder, floor, state, ctx):
+                assert evict(module.id, holder, 0, state, ctx) is None
+                assert state.selections == selections
             if floor is None:
                 floor = ctx.utility(module.id, spot_id, state)
 
@@ -520,7 +539,6 @@ def test_skipping_contests_leaves_the_plan_unchanged(scenario):
     skipping = run_planning(scenario)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(allocation, "_bound_rejects", lambda *args: False)
-        patch.setattr(allocation, "_reaches_free_spot", lambda *args: True)
         plain = run_planning(scenario)
     assert skipping.event_log == plain.event_log
     assert skipping.disconnections == plain.disconnections

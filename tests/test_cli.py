@@ -5,8 +5,18 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from shapeform import cli
+from shapeform.allocation import AllocationError
 from shapeform.cli import main
-from shapeform.model import ScenarioError
+
+
+def assert_input_error(result, name):
+    """A bad input ends the command with one ``Error:`` line naming it and
+    exit code 1, not a traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: ") and name in lines[0]
 
 
 def test_generate_run_round_trip(tmp_path):
@@ -50,10 +60,43 @@ def test_run_rejects_invalid_override(tmp_path, option, value, name):
                          "--out", str(scenario_path)])
     result = runner.invoke(main, ["run", str(scenario_path), option, value,
                                   "--out", str(tmp_path / "r.json")])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ScenarioError)
-    assert name in str(result.exception)
+    assert_input_error(result, name)
     assert not (tmp_path / "r.json").exists()
+
+
+def test_generate_rejects_negative_dmax(tmp_path):
+    out = tmp_path / "scenario.json"
+    result = CliRunner().invoke(main, ["generate", "--spots", "5", "--dmax", "-1",
+                                       "--out", str(out)])
+    assert_input_error(result, "max_eviction_depth")
+    assert not out.exists()
+
+
+def test_run_rejects_a_file_with_an_unknown_field(tmp_path):
+    runner = CliRunner()
+    scenario_path = tmp_path / "scenario.json"
+    runner.invoke(main, ["generate", "--spots", "5", "--seed", "1",
+                         "--out", str(scenario_path)])
+    doc = json.loads(scenario_path.read_text())
+    doc["bogus"] = 1
+    scenario_path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["run", str(scenario_path), "--out", str(tmp_path / "r.json")])
+    assert_input_error(result, "unknown field 'bogus'")
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_engine_errors_keep_their_traceback(tmp_path, monkeypatch):
+    runner = CliRunner()
+    scenario_path = tmp_path / "scenario.json"
+    runner.invoke(main, ["generate", "--spots", "5", "--seed", "1",
+                         "--out", str(scenario_path)])
+
+    def broken(scenario):
+        raise AllocationError("spot 0 already selected")
+
+    monkeypatch.setattr(cli, "run_scenario", broken)
+    result = runner.invoke(main, ["run", str(scenario_path), "--out", str(tmp_path / "r.json")])
+    assert isinstance(result.exception, AllocationError)
 
 
 def test_sweep_csv_output(tmp_path):
@@ -73,9 +116,7 @@ def test_sweep_rejects_invalid_bounds_up_front(tmp_path, option, value, name):
     out = tmp_path / "sweep.csv"
     result = runner.invoke(main, ["sweep", "scaling", "--points", "6", "--runs", "1",
                                   option, value, "--out", str(out)])
-    assert result.exit_code != 0
-    assert isinstance(result.exception, ScenarioError)
-    assert name in str(result.exception)
+    assert_input_error(result, name)
     assert "failed runs" not in result.output
     assert not out.exists()
 
