@@ -63,12 +63,16 @@ class AllocationError(RuntimeError):
 
 
 class AllocationState:
-    """Mutable record of who selected what, plus the broadcast log."""
+    """Mutable record of who selected what, plus the broadcast log.
+
+    ``block_held`` is the set of spots that block members selected.  Those
+    selections are permanent: ``unselect`` refuses a block member.
+    """
 
     def __init__(self) -> None:
         self.selections: dict[int, int] = {}  # spot id -> module id
         self._spot_by_module: dict[int, int] = {}
-        self.selector_kind: dict[int, str] = {}
+        self.block_held: set[int] = set()
         self.disconnections: list[DisconnectionRecord] = []
         self.event_log: list[AllocationEvent] = []
 
@@ -85,12 +89,14 @@ class AllocationState:
             raise AllocationError(f"module {module_id} already holds a spot")
         self.selections[spot_id] = module_id
         self._spot_by_module[module_id] = spot_id
-        self.selector_kind[module_id] = kind
+        if kind == BLOCK_MEMBER:
+            self.block_held.add(spot_id)
 
     def unselect(self, module_id: int) -> int:
+        if self._spot_by_module.get(module_id) in self.block_held:
+            raise AllocationError(f"module {module_id} holds a permanent block selection")
         spot_id = self._spot_by_module.pop(module_id)
         del self.selections[spot_id]
-        del self.selector_kind[module_id]
         return spot_id
 
     def log(self, actor: str, event_type: str, payload: Mapping) -> None:
@@ -178,14 +184,12 @@ class PlanContext:
         them is the first one the fixed order reaches; it competes with the
         re-scored spots under the same key a full scan would use.
         """
-        def eligible(spot_id: int) -> bool:
-            return (spot_id != contested
-                    and state.selector_kind.get(state.selector_of(spot_id)) != BLOCK_MEMBER)
-
+        held = state.block_held
         near = self._near_partners(module_id, state)
-        keys = [(self.utility(module_id, s, state), -s) for s in near if eligible(s)]
+        keys = [(self.utility(module_id, s, state), -s) for s in near
+                if s != contested and s not in held]
         for spot_id in self._order(module_id):
-            if spot_id not in near and eligible(spot_id):
+            if spot_id not in near and spot_id != contested and spot_id not in held:
                 keys.append((self._table(module_id)[spot_id], -spot_id))
                 break
         return -max(keys)[1] if keys else None
@@ -237,11 +241,11 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
     modules once its own selection is recorded, or restores the pairs to
     roll the attempt back.
     """
-    if state.selector_kind.get(block_id) != SINGLETON:
+    contested = state.spot_of(block_id)
+    if contested is None or contested in state.block_held:
         raise AllocationError(f"module {block_id} holds no singleton selection to evict")
     if depth >= ctx.index.algo_params.max_eviction_depth:
         return None
-    contested = state.spot_of(block_id)
     block_best = ctx.best_spot(block_id, state, contested)
     if block_best is None:
         return None
@@ -302,7 +306,7 @@ def spot_allocation(module_id: int, state: AllocationState, ctx: PlanContext) ->
         holder = state.selector_of(spot_id)
         chain: Optional[list[tuple[int, int]]] = []  # stays empty when the spot is free
         if holder is not None:
-            if state.selector_kind.get(holder) != SINGLETON:
+            if spot_id in state.block_held:
                 continue
             chain = (None if _bound_rejects(module_id, holder, floor, state, ctx)
                      else evict(module_id, holder, 0, state, ctx))
@@ -366,8 +370,7 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
         for module_id in module_ids:
             spot_allocation(module_id, state, ctx)
 
-    held = frozenset(s for s, m in state.selections.items()
-                     if state.selector_kind[m] == BLOCK_MEMBER)
+    held = frozenset(state.block_held)
     embeddings = []
     if len(held) < len(index.spot_by_id):
         embeddings = best_embeddings(config, ctx.target_states,

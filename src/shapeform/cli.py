@@ -27,7 +27,11 @@ def _out_path(out: str | None, default_name: str) -> Path:
 
 
 def _parse_points(text: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError:
+        raise click.BadParameter(f"{text!r} is not a comma-separated list of integers",
+                                 param_hint="'--points'") from None
 
 
 class _Main(click.Group):

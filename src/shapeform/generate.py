@@ -17,16 +17,20 @@ from typing import Optional
 from .model import (
     AlgoParams,
     Configuration,
-    CostParams,
     Module,
     Pose,
     Scenario,
+    ScenarioError,
     Spot,
     TargetConfiguration,
     choose_leader,
     normalize_edge,
     validate_scenario,
 )
+
+
+ARENA = (16.0, 16.0)  # width and height of the square that poses are drawn in
+GROW_ATTEMPTS = 50  # tries to grow a tree on the grid before giving up
 
 
 class UnplaceableConfigurationError(RuntimeError):
@@ -37,12 +41,10 @@ class UnplaceableConfigurationError(RuntimeError):
 class GenParams:
     n_spots: int
     n_modules: Optional[int] = None  # defaults to n_spots
-    arena: tuple[float, float] = (16.0, 16.0)
     config_size_range: tuple[int, int] = (2, 10)
     equal_config_size: Optional[int] = None
     singletons_only: bool = False
     seed: int = 0
-    cost_params: CostParams = CostParams()
     algo_params: AlgoParams = AlgoParams()
 
     def module_count(self) -> int:
@@ -58,8 +60,7 @@ def _bounding_radius(n: int) -> int:
     return (side + 1) // 2
 
 
-def _grid_tree(n: int, rng: random.Random, max_degree: int,
-               attempts: int = 50, compact: bool = False,
+def _grid_tree(n: int, rng: random.Random, max_degree: int, compact: bool = False,
                ) -> tuple[list[tuple[int, int]], dict[int, tuple[int, int]]]:
     """Random tree on 0..n-1 grown directly on the unit grid.
 
@@ -73,7 +74,7 @@ def _grid_tree(n: int, rng: random.Random, max_degree: int,
     if max_degree < 2 and n > 2:
         raise UnplaceableConfigurationError("cannot grow a tree with degree cap < 2")
     radius = _bounding_radius(n) if compact else None
-    for _ in range(attempts):
+    for _ in range(GROW_ATTEMPTS):
         edges: list[tuple[int, int]] = []
         layout = {0: (0, 0)}
         occupied = {(0, 0)}
@@ -103,17 +104,16 @@ def _grid_tree(n: int, rng: random.Random, max_degree: int,
         if not stuck:
             return edges, layout
     raise UnplaceableConfigurationError(
-        f"could not grow a {n}-node tree after {attempts} attempts")
+        f"could not grow a {n}-node tree after {GROW_ATTEMPTS} attempts")
 
 
-def random_tree_configuration(size: int, seed: int, max_degree: int = 3,
-                              config_id: int = 0) -> Configuration:
+def random_tree_configuration(size: int, seed: int, max_degree: int = 3) -> Configuration:
     """A bare random tree configuration (no poses), for embedding benchmarks."""
     if size < 2:
         raise ValueError("a configuration needs at least 2 modules")
     rng = random.Random(seed)
     edges, _ = _grid_tree(size, rng, max_degree)
-    return Configuration(id=config_id,
+    return Configuration(id=0,
                          member_ids=tuple(range(size)),
                          edges=frozenset(normalize_edge(a, b) for a, b in edges),
                          leader_id=0)
@@ -124,7 +124,7 @@ def _partition_sizes(total: int, params: GenParams, rng: random.Random) -> list[
         return [1] * total
     lo, hi = params.config_size_range
     if lo < 2:
-        raise ValueError("config sizes must be at least 2")
+        raise ScenarioError("config sizes must be at least 2")
     sizes = []
     remaining = total
     while remaining > 0:
@@ -151,7 +151,7 @@ def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
     no counterpart in the ladder, which is what forces disconnections, so
     their rate rises with block size.
     """
-    width, height = params.arena
+    width, height = ARENA
     k = params.equal_config_size
     n = params.n_spots
     n_chunks = min(n // k, params.module_count() // k)
@@ -242,7 +242,6 @@ def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
     scenario = Scenario(modules=tuple(modules),
                         configurations=tuple(configurations),
                         target=TargetConfiguration(spots=spots),
-                        cost_params=params.cost_params,
                         algo_params=params.algo_params,
                         seed=params.seed)
     return validate_scenario(scenario)
@@ -251,13 +250,13 @@ def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
 def generate_scenario(params: GenParams) -> Scenario:
     """Build a validated random scenario from the parameters and seed."""
     if params.n_spots < 1:
-        raise ValueError("n_spots must be >= 1")
+        raise ScenarioError("n_spots must be >= 1")
     rng = random.Random(params.seed)
     max_degree = params.algo_params.max_degree
-    width, height = params.arena
+    width, height = ARENA
     if params.equal_config_size is not None and not params.singletons_only:
         if params.equal_config_size < 2:
-            raise ValueError("equal config size must be at least 2")
+            raise ScenarioError("equal config size must be at least 2")
         return _generate_equal_sized(params, rng)
     draw_x = lambda: rng.uniform(0.0, width - 1.0)
     draw_y = lambda: rng.uniform(0.0, height - 1.0)
@@ -308,7 +307,6 @@ def generate_scenario(params: GenParams) -> Scenario:
     scenario = Scenario(modules=tuple(modules),
                         configurations=tuple(configurations),
                         target=TargetConfiguration(spots=spots),
-                        cost_params=params.cost_params,
                         algo_params=params.algo_params,
                         seed=params.seed)
     return validate_scenario(scenario)

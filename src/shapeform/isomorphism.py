@@ -143,12 +143,10 @@ class _PairSearch:
                         y = into[y]
                     into[y] = m
                     self.piece[m] += self.piece[y]
-        # configuration state (c, pc) -> best size at every target state,
-        # as an array for the DP and as a list for lookups
+        # configuration state (c, pc) -> best size at every target state
         self._table: dict[tuple[int, Optional[int]], np.ndarray] = {}
-        self._value: dict[tuple[int, Optional[int]], list[int]] = {}
 
-    def _build(self, c: int, pc: Optional[int]) -> list[int]:
+    def _build(self, c: int, pc: Optional[int]) -> np.ndarray:
         """Fill the table of configuration state (c, pc) and of every state
         below it, children first, from an explicit stack."""
         stack = [(c, pc)]
@@ -164,10 +162,8 @@ class _PairSearch:
                 stack.extend(missing)
                 continue
             stack.pop()
-            table = self._match(below)
-            self._table[key] = table
-            self._value[key] = table.tolist()
-        return self._value[(c, pc)]
+            self._table[key] = self._match(below)
+        return self._table[(c, pc)]
 
     def _match(self, below: list[tuple[int, int]]) -> np.ndarray:
         """One plus the best injective assignment of the child states
@@ -191,7 +187,10 @@ class _PairSearch:
     def best(self, c: int, pc: Optional[int], u: int, pu: Optional[int]) -> int:
         """Max size of a common rooted subtree mapping c -> u, entered from
         (pc, pu)."""
-        return (self._value.get((c, pc)) or self._build(c, pc))[self._state[(u, pu)]]
+        table = self._table.get((c, pc))
+        if table is None:
+            table = self._build(c, pc)
+        return int(table[self._state[(u, pu)]])
 
     def enumerate(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
                   floor: int, cap: int) -> list[dict[int, int]]:
@@ -257,7 +256,7 @@ class _PairSearch:
     def max_common_size(self) -> int:
         """Size of the largest common subtree over every (module, spot) root;
         a spot entered from a neighbour has fewer slots, so no more value."""
-        return max(max(self._build(m, None)) for m in self.module_order)
+        return max(int(self._build(m, None).max()) for m in self.module_order)
 
     def collect(self, size: int, kind: str, limit: int) -> list[Embedding]:
         """Gather up to ``limit`` embeddings of the given size, stopping as

@@ -16,7 +16,6 @@ from typing import Mapping
 from .allocation import (
     AllocationEvent,
     AllocationState,
-    BLOCK_MEMBER,
     DisconnectionRecord,
     OCCUPIED_BROADCAST,
     POSITION_BROADCAST,
@@ -62,9 +61,7 @@ def _total_utility(ctx: PlanContext, state: AllocationState) -> float:
     for spot_id, module_id in state.selections.items():
         total += ctx.utility(module_id, spot_id, state)
     for config in index.config_by_id.values():
-        kept = sum(1 for m in config.member_ids
-                   if state.spot_of(m) is not None
-                   and state.selector_kind.get(m) == BLOCK_MEMBER)
+        kept = sum(1 for m in config.member_ids if state.spot_of(m) in state.block_held)
         if kept >= 2:
             total += retention_reward(kept, index.n_modules)
     return total

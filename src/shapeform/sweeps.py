@@ -24,7 +24,6 @@ from .isomorphism import TargetStates, best_embeddings
 from .metrics import spot_values
 from .model import (
     AlgoParams,
-    CostParams,
     Scenario,
     ScenarioIndex,
     planar_distance,
@@ -40,7 +39,6 @@ class SweepParams:
     runs: int = 50
     seed: int = 0
     spots: int = 100  # spot count for table1 and mcs_time
-    cost_params: CostParams = CostParams()
     algo_params: AlgoParams = AlgoParams()
 
 
@@ -93,8 +91,7 @@ def _stats(xs) -> tuple[float, float]:
 
 
 def _scenario(params: SweepParams, **gen) -> Scenario:
-    return generate_scenario(GenParams(cost_params=params.cost_params,
-                                       algo_params=params.algo_params, **gen))
+    return generate_scenario(GenParams(algo_params=params.algo_params, **gen))
 
 
 def _distance(index: ScenarioIndex, assignment: dict[int, int]) -> float:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping, Optional
 
-from .model import CostParams, Module, Pose, ScenarioIndex, Spot, planar_distance
+from .model import Module, ScenarioIndex, Spot, planar_distance
 
 
 class EmbeddingError(ValueError):
@@ -21,11 +21,6 @@ class EmbeddingError(ValueError):
 
 class BlockSizeError(ValueError):
     """A block size outside 1..total module count."""
-
-
-def locomotion_cost(start: Pose, goal: Pose, params: CostParams) -> float:
-    """alpha_loc times the planar distance; orientation plays no part."""
-    return params.alpha_loc * planar_distance(start, goal)
 
 
 def retention_reward(block_size: int, total_modules: int) -> float:
@@ -57,13 +52,13 @@ def preserved_links(module_id: int, spot_id: int, index: ScenarioIndex,
 def module_spot_cost(module: Module, spot: Spot, index: ScenarioIndex,
                      preserved: int = 0) -> float:
     """Cost for ``module`` to occupy ``spot`` with ``preserved`` links kept
-    (see ``preserved_links``): locomotion, docking for every other spot
-    neighbour, undocking for every other initial link."""
+    (see ``preserved_links``): ``alpha_loc * planar distance + c_dock *
+    (spot neighbours - preserved) + c_undock * (initial links - preserved)``;
+    orientation plays no part."""
     params = index.cost_params
-    cost = locomotion_cost(module.pose, spot.pose, params)
-    dock = len(spot.neighbor_ids) - preserved
-    undock = len(index.module_links[module.id]) - preserved
-    return cost + params.c_dock * dock + params.c_undock * undock
+    return (params.alpha_loc * planar_distance(module.pose, spot.pose)
+            + params.c_dock * (len(spot.neighbor_ids) - preserved)
+            + params.c_undock * (len(index.module_links[module.id]) - preserved))
 
 
 def module_spot_utility(module: Module, spot: Spot, values: Mapping[int, float],

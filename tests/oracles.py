@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 
-from shapeform.allocation import BLOCK_MEMBER
 from shapeform.model import Spot, TargetConfiguration
 
 
@@ -152,8 +151,7 @@ def available_forest(index, state) -> TargetConfiguration:
     embeddings in what is left (a forest); spots held by singletons remain
     candidates because their holders can be evicted.
     """
-    available = {s for s in index.spot_by_id
-                 if state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER}
+    available = set(index.spot_by_id) - state.block_held
     spots = tuple(Spot(id=s.id, pose=s.pose,
                        neighbor_ids=s.neighbor_ids & frozenset(available))
                   for s in index.scenario.target.spots if s.id in available)
@@ -296,8 +294,8 @@ def reference_evict(curr, block, depth, state, ctx):
     if depth >= ctx.index.algo_params.max_eviction_depth:
         return None
     contested = state.spot_of(block)
-    eligible = [s for s in sorted(ctx.index.spot_by_id) if s != contested
-                and state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER]
+    eligible = [s for s in sorted(ctx.index.spot_by_id)
+                if s != contested and s not in state.block_held]
     if not eligible:
         return None
 

@@ -69,7 +69,7 @@ def test_free_spots_take_argmax():
     state = AllocationState()
     assert spot_allocation(0, state, ctx) == 1
     assert state.selections == {1: 0}
-    assert state.selector_kind[0] == SINGLETON
+    assert 1 not in state.block_held
     event = state.event_log[-1]
     assert event.event_type == SELECTION_BROADCAST
 
@@ -226,9 +226,32 @@ def test_block_takes_whole_free_window():
     assert result.embedding is not None and result.embedding.kind == "full"
     assert result.disconnected == ()
     assert len(state.selections) == 8
-    assert all(state.selector_kind[m] == BLOCK_MEMBER for m in range(8))
+    assert all(state.spot_of(m) in state.block_held for m in range(8))
     broadcasts = [e for e in state.event_log if e.event_type == SELECTION_BROADCAST]
     assert len(broadcasts) == 1  # one broadcast for the whole block
+
+
+def test_evicted_modules_rerun_direct_blocker_first():
+    """Block member 1 takes spot 1 from singleton 2, whose best alternative,
+    spot 2, is freed in turn by evicting singleton 3 to the free spot 3.
+    Once the block commits, the direct blocker re-runs before the deeper
+    one, so the broadcasts after the block's come from 2, then 3."""
+    modules = (Module(0, Pose(0.0, 0.0), config_id=0), Module(1, Pose(1.0, 0.0), config_id=0),
+               Module(2, Pose(0.0, 5.0)), Module(3, Pose(3.0, 5.0)))
+    scenario = validate_scenario(Scenario(
+        modules=modules, configurations=(config_from_edges([0, 1], [(0, 1)]),),
+        target=path_target(4)))
+    ctx = seeded_context(scenario, {2: {0: 0.0, 1: 5.0, 2: 4.5, 3: 0.0},
+                                    3: {0: 0.0, 1: 0.0, 2: 1.0, 3: 5.0}})
+    state = AllocationState()
+    state.select(1, 2, SINGLETON)
+    state.select(2, 3, SINGLETON)
+    result = block_allocation(0, state, ctx)
+    assert result.embedding.mapping == {0: 0, 1: 1}
+    assert result.evicted == (2, 3)
+    assert [e.actor for e in state.event_log if e.event_type == SELECTION_BROADCAST] == \
+        ["configuration:0", "module:2", "module:3"]
+    assert state.selections == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_branch_config_sheds_one_module_to_free_end():
@@ -385,6 +408,14 @@ def test_select_by_placed_module_raises():
     assert state.selections == {0: 1}
 
 
+def test_unselect_of_a_block_member_raises():
+    state = AllocationState()
+    state.select(0, 1, BLOCK_MEMBER)
+    with pytest.raises(AllocationError, match="module 1"):
+        state.unselect(1)
+    assert state.selections == {0: 1} and state.block_held == {0}
+
+
 def test_evicting_a_block_member_raises():
     scenario = three_singletons()
     ctx = seeded_context(scenario, {0: {0: 10.0, 1: 2.0, 2: 0.0},
@@ -397,8 +428,7 @@ def test_evicting_a_block_member_raises():
 
 
 def brute_best(utility, spot_ids, state, contested):
-    eligible = [s for s in spot_ids if s != contested
-                and state.selector_kind.get(state.selector_of(s)) != BLOCK_MEMBER]
+    eligible = [s for s in spot_ids if s != contested and s not in state.block_held]
     return max(eligible, key=lambda s: (utility(s), -s)) if eligible else None
 
 
@@ -481,7 +511,8 @@ def copied(state):
     """A fresh state holding the same selections."""
     copy = AllocationState()
     for spot_id, module_id in state.selections.items():
-        copy.select(spot_id, module_id, state.selector_kind[module_id])
+        copy.select(spot_id, module_id,
+                    BLOCK_MEMBER if spot_id in state.block_held else SINGLETON)
     return copy
 
 
@@ -498,7 +529,7 @@ def test_evict_matches_the_pre_order_reference(drawn):
         if state.spot_of(module.id) is not None:
             continue
         for spot_id, holder in sorted(state.selections.items()):
-            if state.selector_kind[holder] != SINGLETON:
+            if spot_id in state.block_held:
                 continue
             engine, reference = copied(state), copied(state)
             assert evict(module.id, holder, 0, engine, ctx) == \
@@ -523,7 +554,7 @@ def test_skipped_contests_are_ones_evict_rejects(drawn):
         floor = None
         for spot_id in ctx.preference_order(module.id, state):
             holder = state.selector_of(spot_id)
-            if holder is None or state.selector_kind[holder] != SINGLETON:
+            if holder is None or spot_id in state.block_held:
                 continue
             if _bound_rejects(module.id, holder, floor, state, ctx):
                 assert evict(module.id, holder, 0, state, ctx) is None

@@ -72,6 +72,16 @@ def test_generate_rejects_negative_dmax(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sizes, name", [(["--spots", "0"], "n_spots"),
+                                         (["--spots", "10", "--equal-config-size", "1"],
+                                          "equal config size")])
+def test_generate_rejects_bad_sizes(tmp_path, sizes, name):
+    out = tmp_path / "scenario.json"
+    result = CliRunner().invoke(main, ["generate", *sizes, "--out", str(out)])
+    assert_input_error(result, name)
+    assert not out.exists()
+
+
 def test_run_rejects_a_file_with_an_unknown_field(tmp_path):
     runner = CliRunner()
     scenario_path = tmp_path / "scenario.json"
@@ -118,6 +128,18 @@ def test_sweep_rejects_invalid_bounds_up_front(tmp_path, option, value, name):
                                   option, value, "--out", str(out)])
     assert_input_error(result, name)
     assert "failed runs" not in result.output
+    assert not out.exists()
+
+
+def test_sweep_rejects_malformed_points(tmp_path):
+    """A usage error: click names the option and exits 2, with no traceback."""
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, ["sweep", "scaling", "--points", "5,x", "--runs", "1",
+                                       "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert "Invalid value for '--points'" in result.output
     assert not out.exists()
 
 

@@ -4,7 +4,6 @@ from unittest import mock
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from shapeform.allocation import BLOCK_MEMBER
 from shapeform.isomorphism import (
     DegenerateInputError,
     FULL,
@@ -25,12 +24,13 @@ from shapeform.model import (
     validate_scenario,
 )
 from shapeform.simulate import run_scenario
-from shapeform.utility import EmbeddingError
+from shapeform.utility import EmbeddingError, block_utility
 
 from conftest import (
     adjacency,
     chain_scenario,
     config_from_edges,
+    grid_scenarios,
     partial_states,
     path_target,
     random_trees,
@@ -332,8 +332,7 @@ def test_held_spots_match_search_in_available_forest(drawn, cap):
     scenario, state, _ = drawn
     index = ScenarioIndex.build(scenario)
     values = spot_values(scenario.target)
-    held = frozenset(s for s, m in state.selections.items()
-                     if state.selector_kind[m] == BLOCK_MEMBER)
+    held = frozenset(state.block_held)
     forest = available_forest(index, state)
     states = TargetStates(scenario.target, values)
     for config in scenario.configurations:
@@ -353,8 +352,7 @@ def test_walk_never_enters_a_held_spot(drawn, cap):
     """A held spot is worth 0 in every table, so the walk places no child
     there rather than search it for a piece that cannot exist."""
     scenario, state, _ = drawn
-    held = frozenset(s for s, m in state.selections.items()
-                     if state.selector_kind[m] == BLOCK_MEMBER)
+    held = frozenset(state.block_held)
     assume(held and len(held) < len(scenario.target.spots))
     states = TargetStates(scenario.target, spot_values(scenario.target))
     entered = []
@@ -383,7 +381,6 @@ def test_order_embeddings_by_utility_then_spot_sum():
     values = values_for(target)
     embeddings = full_embeddings(config, target, UNBOUNDED)
     ordered = order_embeddings(embeddings, values, index)
-    from shapeform.utility import block_utility
     utilities = [block_utility(e.mapping, values, index) for e in ordered]
     assert utilities == sorted(utilities, reverse=True)
     for first, second in zip(ordered, ordered[1:]):
@@ -391,3 +388,20 @@ def test_order_embeddings_by_utility_then_spot_sum():
         u2 = block_utility(second.mapping, values, index)
         if u1 == pytest.approx(u2, abs=1e-12):
             assert sum(first.mapping.values()) <= sum(second.mapping.values())
+
+
+@given(grid_scenarios())
+def test_exact_utility_ties_come_in_ascending_spot_sum(scenario):
+    """Integer-grid scenarios give embeddings of exactly equal block utility;
+    with every embedding enumerated, each such run is ordered by the sum of
+    its image spot ids."""
+    index = ScenarioIndex.build(scenario)
+    values = spot_values(scenario.target)
+    states = TargetStates(scenario.target, values)
+    for config in scenario.configurations:
+        embeddings = best_embeddings(config, states, UNBOUNDED)
+        ordered = order_embeddings(embeddings, values, index)
+        for first, second in zip(ordered, ordered[1:]):
+            if block_utility(first.mapping, values, index) == \
+                    block_utility(second.mapping, values, index):
+                assert sum(first.mapping.values()) <= sum(second.mapping.values())

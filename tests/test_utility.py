@@ -17,6 +17,7 @@ from shapeform.model import (
     ScenarioIndex,
     Spot,
     TargetConfiguration,
+    planar_distance,
     validate_scenario,
 )
 from shapeform.utility import (
@@ -24,7 +25,6 @@ from shapeform.utility import (
     EmbeddingError,
     block_cost,
     block_utility,
-    locomotion_cost,
     module_spot_cost,
     module_spot_utility,
     preserved_links,
@@ -37,11 +37,22 @@ from oracles import brute_spot_values, reference_block_utility, reference_spot_c
 DEFAULTS = CostParams()
 
 
+def _lone_pair(module_pose, spot_pose, params=DEFAULTS):
+    """A linkless module and a spot with no neighbours, and their index: the
+    cost is locomotion alone."""
+    scenario = validate_scenario(Scenario(
+        modules=(Module(0, module_pose),), configurations=(),
+        target=TargetConfiguration(spots=(Spot(0, spot_pose, frozenset()),)),
+        cost_params=params))
+    index = ScenarioIndex.build(scenario)
+    return index.module_by_id[0], index.spot_by_id[0], index
+
+
 def test_locomotion_examples():
-    assert locomotion_cost(Pose(1, 1), Pose(1, 1), DEFAULTS) == 0.0
-    assert locomotion_cost(Pose(0, 0), Pose(3, 4), DEFAULTS) == pytest.approx(5.0)
-    assert locomotion_cost(Pose(0, 0), Pose(3, 4),
-                           CostParams(alpha_loc=2.0)) == pytest.approx(10.0)
+    assert module_spot_cost(*_lone_pair(Pose(1, 1), Pose(1, 1))) == 0.0
+    assert module_spot_cost(*_lone_pair(Pose(0, 0), Pose(3, 4))) == pytest.approx(5.0)
+    assert module_spot_cost(*_lone_pair(Pose(0, 0), Pose(3, 4),
+                                        CostParams(alpha_loc=2.0))) == pytest.approx(10.0)
 
 
 def test_retention_reward_examples():
@@ -257,7 +268,7 @@ def test_whole_config_embedding_pays_dock_only_for_boundary(n, seed, extra):
     mapping = {i: i for i in range(n)}
     total = block_cost(mapping, index)
     locomotion = sum(
-        locomotion_cost(index.module_by_id[i].pose, index.spot_by_id[i].pose, DEFAULTS)
+        DEFAULTS.alpha_loc * planar_distance(index.module_by_id[i].pose, index.spot_by_id[i].pose)
         for i in range(n))
     boundary = sum(1 for a, b in target_edges if (a < n) != (b < n))
     reward = retention_reward(n, index.n_modules)
