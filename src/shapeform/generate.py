@@ -73,27 +73,26 @@ def _grid_tree(n: int, rng: random.Random, max_degree: int, compact: bool = Fals
     """
     if max_degree < 2 and n > 2:
         raise UnplaceableConfigurationError("cannot grow a tree with degree cap < 2")
-    radius = _bounding_radius(n) if compact else None
+    radius = _bounding_radius(n) if compact else n  # node k sits at most k steps out
     for _ in range(GROW_ATTEMPTS):
         edges: list[tuple[int, int]] = []
         layout = {0: (0, 0)}
         occupied = {(0, 0)}
         degree = [0] * n
-        stuck = False
+        # the candidate pairs in placement order, then _OFFSETS order; a
+        # placement only fills one cell and raises two degrees, so a pair
+        # never turns eligible again, and dropping the taken cell and capped
+        # parents leaves exactly the list a rebuild from the layout would give
+        options: list[tuple[int, tuple[int, int]]] = []
         for node in range(1, n):
-            options = []
-            for placed_node, (px, py) in layout.items():
-                if degree[placed_node] >= max_degree:
-                    continue
+            last = node - 1
+            if degree[last] < max_degree:
+                lx, ly = layout[last]
                 for dx, dy in _OFFSETS:
-                    cell = (px + dx, py + dy)
-                    if cell in occupied:
-                        continue
-                    if radius is not None and max(abs(cell[0]), abs(cell[1])) > radius:
-                        continue
-                    options.append((placed_node, cell))
+                    cell = (lx + dx, ly + dy)
+                    if cell not in occupied and max(abs(cell[0]), abs(cell[1])) <= radius:
+                        options.append((last, cell))
             if not options:
-                stuck = True
                 break
             parent, cell = options[rng.randrange(len(options))]
             layout[node] = cell
@@ -101,7 +100,8 @@ def _grid_tree(n: int, rng: random.Random, max_degree: int, compact: bool = Fals
             edges.append((parent, node))
             degree[parent] += 1
             degree[node] += 1
-        if not stuck:
+            options = [(p, c) for p, c in options if c != cell and degree[p] < max_degree]
+        else:
             return edges, layout
     raise UnplaceableConfigurationError(
         f"could not grow a {n}-node tree after {GROW_ATTEMPTS} attempts")
@@ -138,7 +138,30 @@ def _partition_sizes(total: int, params: GenParams, rng: random.Random) -> list[
     return sizes
 
 
-def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
+def _block(config_id: int, members: list[Module], edges: list[tuple[int, int]],
+           ) -> Configuration:
+    """The configuration of ``members``, whose ids run on from the first
+    member's; ``edges`` are pairs of local indices into ``members``."""
+    first = members[0].id
+    return Configuration(id=config_id,
+                         member_ids=tuple(m.id for m in members),
+                         edges=frozenset(normalize_edge(first + a, first + b) for a, b in edges),
+                         leader_id=choose_leader(members))
+
+
+def _target(poses: list[Pose], edges: list[tuple[int, int]]) -> TargetConfiguration:
+    """Spots 0..len(poses)-1 at ``poses``, linked by ``edges``."""
+    neighbor_sets: list[set[int]] = [set() for _ in poses]
+    for a, b in edges:
+        neighbor_sets[a].add(b)
+        neighbor_sets[b].add(a)
+    return TargetConfiguration(spots=tuple(
+        Spot(id=i, pose=pose, neighbor_ids=frozenset(neighbors))
+        for i, (pose, neighbors) in enumerate(zip(poses, neighbor_sets))))
+
+
+def _generate_equal_sized(params: GenParams, rng: random.Random,
+                          ) -> tuple[list[Module], list[Configuration], TargetConfiguration]:
     """Equal-config-size (reproduction) mode.
 
     The target is a ladder: a spine path with a tooth on most spine nodes,
@@ -166,27 +189,13 @@ def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
     cx, cy = width / 2.0, height / 2.0
     x0 = cx - (spine_len - 1) / 2.0
 
-    def tooth_slot(spine_index: int) -> bool:
-        chunk, slot = divmod(spine_index, spine_per_chunk)
-        return chunk < n_chunks and 1 <= slot <= teeth_per_chunk
-
-    neighbor_sets: dict[int, set[int]] = {}
-    poses: dict[int, Pose] = {}
+    poses = [Pose(x0 + i, cy) for i in range(spine_len)]
+    target_edges = [(i - 1, i) for i in range(1, spine_len)]
     for i in range(spine_len):
-        neighbor_sets.setdefault(i, set())
-        poses[i] = Pose(x0 + i, cy)
-        if i > 0:
-            neighbor_sets[i].add(i - 1)
-            neighbor_sets[i - 1].add(i)
-    next_spot = spine_len
-    for i in range(spine_len):
-        if tooth_slot(i):
-            poses[next_spot] = Pose(x0 + i, cy + 1.0)
-            neighbor_sets[next_spot] = {i}
-            neighbor_sets[i].add(next_spot)
-            next_spot += 1
-    spots = tuple(Spot(id=i, pose=poses[i], neighbor_ids=frozenset(neighbor_sets[i]))
-                  for i in sorted(poses))
+        chunk, slot = divmod(i, spine_per_chunk)
+        if chunk < n_chunks and 1 <= slot <= teeth_per_chunk:
+            target_edges.append((i, len(poses)))
+            poses.append(Pose(x0 + i, cy + 1.0))
 
     # stage blocks next to their window, innermost windows first
     chunk_order = sorted(range(n_chunks),
@@ -194,7 +203,6 @@ def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
     mutate_prob = min(1.0, (k * k) / 10000.0)
     modules: list[Module] = []
     configurations: list[Configuration] = []
-    next_module = 0
     for rank, chunk in enumerate(chunk_order):
         slots = list(range(1, teeth_per_chunk + 1))
         n_mut = min(sum(1 for _ in slots if rng.random() < mutate_prob), len(slots) // 2)
@@ -219,94 +227,76 @@ def _generate_equal_sized(params: GenParams, rng: random.Random) -> Scenario:
             + rng.uniform(-0.3, 0.3)
         anchor_y = cy - gap
         mid = (spine_per_chunk - 1) / 2.0
-        members = [Module(id=next_module + i,
+        members = [Module(id=len(modules) + i,
                           pose=Pose(anchor_x + cell[0] - mid, anchor_y - cell[1],
                                     rng.uniform(0.0, math.pi)),
                           config_id=rank)
                    for i, cell in enumerate(cells)]
-        configurations.append(Configuration(
-            id=rank,
-            member_ids=tuple(m.id for m in members),
-            edges=frozenset(normalize_edge(next_module + a, next_module + b)
-                            for a, b in edges),
-            leader_id=choose_leader(members)))
+        configurations.append(_block(rank, members, edges))
         modules.extend(members)
-        next_module += len(cells)
-    for extra in range(params.module_count() - next_module):
+    for extra in range(params.module_count() - len(modules)):
         gap = 3.0 + 0.6 * (n_chunks + extra)
-        modules.append(Module(id=next_module,
+        modules.append(Module(id=len(modules),
                               pose=Pose(rng.uniform(x0, x0 + spine_len - 1), cy - gap,
                                         rng.uniform(0.0, math.pi))))
-        next_module += 1
-
-    scenario = Scenario(modules=tuple(modules),
-                        configurations=tuple(configurations),
-                        target=TargetConfiguration(spots=spots),
-                        algo_params=params.algo_params,
-                        seed=params.seed)
-    return validate_scenario(scenario)
+    return modules, configurations, _target(poses, target_edges)
 
 
-def generate_scenario(params: GenParams) -> Scenario:
-    """Build a validated random scenario from the parameters and seed."""
-    if params.n_spots < 1:
-        raise ScenarioError("n_spots must be >= 1")
-    rng = random.Random(params.seed)
-    max_degree = params.algo_params.max_degree
+def _generate_random(params: GenParams, rng: random.Random,
+                     ) -> tuple[list[Module], list[Configuration], TargetConfiguration]:
+    """Singletons and grid-grown trees at uniform anchors around a compact
+    grid-grown target."""
     width, height = ARENA
-    if params.equal_config_size is not None and not params.singletons_only:
-        if params.equal_config_size < 2:
-            raise ScenarioError("equal config size must be at least 2")
-        return _generate_equal_sized(params, rng)
+    max_degree = params.algo_params.max_degree
     draw_x = lambda: rng.uniform(0.0, width - 1.0)
     draw_y = lambda: rng.uniform(0.0, height - 1.0)
 
     modules: list[Module] = []
     configurations: list[Configuration] = []
-    next_module = 0
-    next_config = 0
     for size in _partition_sizes(params.module_count(), params, rng):
         if size == 1:
-            modules.append(Module(id=next_module,
+            modules.append(Module(id=len(modules),
                                   pose=Pose(draw_x(), draw_y(), rng.uniform(0.0, math.pi))))
-            next_module += 1
             continue
         edges, layout = _grid_tree(size, rng, max_degree)
-        anchor = (draw_x(), draw_y())
-        member_ids = tuple(range(next_module, next_module + size))
-        members = []
-        for local in range(size):
-            dx, dy = layout[local]
-            members.append(Module(id=next_module + local,
-                                  pose=Pose(anchor[0] + dx, anchor[1] + dy,
-                                            rng.uniform(0.0, math.pi)),
-                                  config_id=next_config))
-        leader = choose_leader(members)
-        configurations.append(Configuration(
-            id=next_config,
-            member_ids=member_ids,
-            edges=frozenset(normalize_edge(next_module + a, next_module + b)
-                            for a, b in edges),
-            leader_id=leader))
+        ax, ay = draw_x(), draw_y()
+        members = [Module(id=len(modules) + local,
+                          pose=Pose(ax + layout[local][0], ay + layout[local][1],
+                                    rng.uniform(0.0, math.pi)),
+                          config_id=len(configurations))
+                   for local in range(size)]
+        configurations.append(_block(len(configurations), members, edges))
         modules.extend(members)
-        next_module += size
-        next_config += 1
 
-    target_edges, target_layout = _grid_tree(params.n_spots, rng, max_degree, compact=True)
-    target_anchor = (draw_x(), draw_y())
-    neighbor_sets: dict[int, set[int]] = {i: set() for i in range(params.n_spots)}
-    for a, b in target_edges:
-        neighbor_sets[a].add(b)
-        neighbor_sets[b].add(a)
-    spots = tuple(Spot(id=i,
-                       pose=Pose(target_anchor[0] + target_layout[i][0],
-                                 target_anchor[1] + target_layout[i][1]),
-                       neighbor_ids=frozenset(neighbor_sets[i]))
-                  for i in range(params.n_spots))
+    target_edges, layout = _grid_tree(params.n_spots, rng, max_degree, compact=True)
+    ax, ay = draw_x(), draw_y()
+    poses = [Pose(ax + layout[i][0], ay + layout[i][1]) for i in range(params.n_spots)]
+    return modules, configurations, _target(poses, target_edges)
 
-    scenario = Scenario(modules=tuple(modules),
-                        configurations=tuple(configurations),
-                        target=TargetConfiguration(spots=spots),
-                        algo_params=params.algo_params,
-                        seed=params.seed)
-    return validate_scenario(scenario)
+
+def generate_scenario(params: GenParams) -> Scenario:
+    """Build a validated random scenario from the parameters and seed.
+
+    Raises ``ScenarioError`` before any draw when the sizes cannot give the
+    scenario asked for: no spot, an equal configuration size below 2 or
+    above the spot or module count, or an equal size with ``singletons_only``.
+    """
+    if params.n_spots < 1:
+        raise ScenarioError("n_spots must be >= 1")
+    k = params.equal_config_size
+    if k is not None:
+        if k < 2:
+            raise ScenarioError("equal config size must be at least 2")
+        if k > min(params.n_spots, params.module_count()):
+            raise ScenarioError(f"equal config size {k} exceeds the spot count "
+                                f"{params.n_spots} or the module count {params.module_count()}")
+        if params.singletons_only:
+            raise ScenarioError("an equal config size cannot be combined with singletons only")
+    rng = random.Random(params.seed)
+    build = _generate_random if k is None else _generate_equal_sized
+    modules, configurations, target = build(params, rng)
+    return validate_scenario(Scenario(modules=tuple(modules),
+                                      configurations=tuple(configurations),
+                                      target=target,
+                                      algo_params=params.algo_params,
+                                      seed=params.seed))

@@ -285,8 +285,39 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                 pairs.append((s.id, n))
     if scenario.target.spots:
         _check_tree(sorted(spot_ids), pairs, "target", ap.max_degree)
-
+    _check_finite_totals(scenario)
     return scenario
+
+
+def _check_finite_totals(scenario: Scenario) -> None:
+    """Reject finite inputs whose plan totals could overflow to infinity.
+
+    Every distance the planner or the acting phase measures joins two points
+    of the box around all module and spot positions, so it is at most
+    ``span``, the ``hypot`` of the box's x and y extents.  The total
+    distance sums at most one distance per module: at most
+    ``n_modules * span``.  A module's utility is a spot value in [0, 1]
+    minus ``alpha_loc * distance + c_dock * (spot degree - preserved) +
+    c_undock * (links - preserved)``, with both counts at most the degree
+    cap, and the retention rewards ``(k - 2) / n_modules`` of all blocks sum
+    to at most 1; so the total utility, and every partial sum the planner
+    compares, is at most ``n_modules * (2 + alpha_loc * span + (c_dock +
+    c_undock) * degree)`` in size.  ``degree`` is ``max_degree``, or the
+    node count if smaller, because no tree node has more links than the
+    tree has nodes (and a huge integer cap must not overflow a float).
+    Both products finite means every total is finite.
+    """
+    positions = [m.pose for m in scenario.modules] + [s.pose for s in scenario.target.spots]
+    xs = [p.x for p in positions]
+    ys = [p.y for p in positions]
+    span = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
+    cp = scenario.cost_params
+    n = len(scenario.modules)
+    degree = min(scenario.algo_params.max_degree, n + len(scenario.target.spots))
+    if not (math.isfinite(n * span)
+            and math.isfinite(n * (2 + cp.alpha_loc * span + (cp.c_dock + cp.c_undock) * degree))):
+        raise ScenarioError(f"positions span {span} and the cost params let plan totals "
+                            f"overflow for {n} modules")
 
 
 @dataclass(frozen=True)

@@ -103,7 +103,7 @@ def run_planning(scenario: Scenario) -> PlanResult:
     for entity in rank_entities(index, ctx.center):
         if entity.kind == CONFIGURATION:
             block_allocation(entity.entity_id, state, ctx)
-        elif state.spot_of(entity.entity_id) is None:
+        else:
             spot_allocation(entity.entity_id, state, ctx)
     planning_time = time.perf_counter() - started
 

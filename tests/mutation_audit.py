@@ -51,6 +51,9 @@ MUTANTS = (
      "selection\")\n",
      "",
      "unselect releases a block member's permanent spot"),
+    ("src/shapeform/generate.py", "if c != cell and degree[p] < max_degree]",
+     "if c != cell]",
+     "grown trees keep attaching to nodes that reached the degree cap"),
 )
 
 

@@ -3,7 +3,8 @@
 Everything here recomputes results from first principles (path
 enumeration, exhaustive injective maps, permutation search, a literal
 transcription of the selection rules, the memoized recursion the
-embedding table replaced) and shares no code with the engine's own
+embedding table replaced, the grid-tree growth that rebuilt its candidates
+for every node) and shares no code with the engine's own
 algorithms.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 
+from shapeform.generate import GROW_ATTEMPTS, UnplaceableConfigurationError, _bounding_radius
 from shapeform.model import Spot, TargetConfiguration
 
 
@@ -313,3 +315,42 @@ def reference_evict(curr, block, depth, state, ctx):
         return None
     chain.append((block, state.unselect(block)))
     return chain
+
+
+def reference_grid_tree(n, rng, max_degree, compact=False):
+    """The grid-tree growth that rebuilds its (placed node, free adjacent
+    cell) candidates from the whole layout before every placement."""
+    if max_degree < 2 and n > 2:
+        raise UnplaceableConfigurationError("cannot grow a tree with degree cap < 2")
+    radius = _bounding_radius(n) if compact else None
+    for _ in range(GROW_ATTEMPTS):
+        edges = []
+        layout = {0: (0, 0)}
+        occupied = {(0, 0)}
+        degree = [0] * n
+        stuck = False
+        for node in range(1, n):
+            options = []
+            for placed_node, (px, py) in layout.items():
+                if degree[placed_node] >= max_degree:
+                    continue
+                for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                    cell = (px + dx, py + dy)
+                    if cell in occupied:
+                        continue
+                    if radius is not None and max(abs(cell[0]), abs(cell[1])) > radius:
+                        continue
+                    options.append((placed_node, cell))
+            if not options:
+                stuck = True
+                break
+            parent, cell = options[rng.randrange(len(options))]
+            layout[node] = cell
+            occupied.add(cell)
+            edges.append((parent, node))
+            degree[parent] += 1
+            degree[node] += 1
+        if not stuck:
+            return edges, layout
+    raise UnplaceableConfigurationError(
+        f"could not grow a {n}-node tree after {GROW_ATTEMPTS} attempts")

@@ -105,6 +105,16 @@ def test_eviction_depth_monotonicity_and_gap():
           f"(50 scenarios, mean gap to optimal at depth 8: {mean_gap:.4f})")
 
 
+def test_deeper_eviction_can_lower_utility():
+    """Utility is not monotone in the depth bound: on three singletons,
+    raising it from 0 to 1 lowers the plan's total utility."""
+    scenario = generate_scenario(GenParams(n_spots=3, singletons_only=True, seed=31))
+    totals = [run_planning(dataclasses.replace(
+        scenario, algo_params=AlgoParams(max_eviction_depth=depth))).metrics.total_utility
+        for depth in range(3)]
+    assert totals == pytest.approx([-18.5409, -18.7954, -18.7954], abs=1e-4)
+
+
 def test_isomorphism_matches_brute_force():
     started = time.perf_counter()
     rng = random.Random(123)

@@ -8,6 +8,10 @@ from click.testing import CliRunner
 from shapeform import cli
 from shapeform.allocation import AllocationError
 from shapeform.cli import main
+from shapeform.generate import GenParams, generate_scenario
+from shapeform.scenario_io import save_scenario
+from shapeform.simulate import run_scenario
+from shapeform.sweeps import run_cases
 
 
 def assert_input_error(result, name):
@@ -74,12 +78,33 @@ def test_generate_rejects_negative_dmax(tmp_path):
 
 @pytest.mark.parametrize("sizes, name", [(["--spots", "0"], "n_spots"),
                                          (["--spots", "10", "--equal-config-size", "1"],
-                                          "equal config size")])
+                                          "equal config size"),
+                                         (["--spots", "10", "--equal-config-size", "20"],
+                                          "exceeds"),
+                                         (["--spots", "40", "--modules", "8",
+                                           "--equal-config-size", "10"], "exceeds"),
+                                         (["--spots", "10", "--equal-config-size", "5",
+                                           "--singletons-only"], "singletons only")])
 def test_generate_rejects_bad_sizes(tmp_path, sizes, name):
     out = tmp_path / "scenario.json"
     result = CliRunner().invoke(main, ["generate", *sizes, "--out", str(out)])
     assert_input_error(result, name)
     assert not out.exists()
+
+
+def test_run_rejects_positions_whose_totals_overflow(tmp_path):
+    scenario_path = tmp_path / "far.json"
+    result = CliRunner().invoke(main, ["generate", "--spots", "3", "--singletons-only",
+                                       "--out", str(scenario_path)])
+    assert result.exit_code == 0, result.output
+    doc = json.loads(scenario_path.read_text())
+    for module, (x, y) in zip(doc["modules"], ((1e308, 1e308), (-1e308, -1e308), (0, 1e308))):
+        module.update(x=x, y=y)
+    scenario_path.write_text(json.dumps(doc))
+    result = CliRunner().invoke(main, ["run", str(scenario_path),
+                                       "--out", str(tmp_path / "r.json")])
+    assert_input_error(result, "overflow")
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_rejects_a_file_with_an_unknown_field(tmp_path):
@@ -179,6 +204,22 @@ def test_cases_command_twice_inside_case_dir(tmp_path, monkeypatch):
                      for row in report["cases"]])
     assert len(rows[0]) == 8
     assert rows[1] == rows[0]
+
+
+@pytest.mark.parametrize("slack, ok", [(0, True), (-1, False)])
+def test_cases_fail_when_disconnections_exceed_the_cap(tmp_path, slack, ok):
+    scenario = generate_scenario(GenParams(n_spots=20, seed=3))
+    count = run_scenario(scenario).metrics.disconnection_count
+    assert count > 0
+    save_scenario(scenario, tmp_path / "case.json")
+    (tmp_path / "expectations.json").write_text(
+        json.dumps({"case.json": {"max_disconnections": count + slack}}))
+    report = run_cases(tmp_path)
+    assert [row["ok"] for row in report.rows] == [ok] and report.all_ok is ok
+    result = CliRunner().invoke(main, ["cases", str(tmp_path),
+                                       "--out", str(tmp_path / "report.out")])
+    assert result.exit_code == (0 if ok else 1), result.output
+    assert f"disconnections={count} complete=True ok={ok}" in result.output
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import reference_grid_tree
 
 from shapeform.generate import (
     GenParams,
@@ -8,7 +11,7 @@ from shapeform.generate import (
     random_tree_configuration,
     _grid_tree,
 )
-from shapeform.model import planar_distance, validate_scenario
+from shapeform.model import ScenarioError, planar_distance, validate_scenario
 
 
 def test_same_seed_same_scenario():
@@ -51,6 +54,26 @@ def test_equal_config_size_below_two_rejected(size):
         generate_scenario(GenParams(n_spots=20, equal_config_size=size, seed=0))
 
 
+@pytest.mark.parametrize("sizes", [dict(n_spots=10, equal_config_size=20),
+                                   dict(n_spots=40, n_modules=8, equal_config_size=10),
+                                   dict(n_spots=10, equal_config_size=11)])
+def test_equal_config_size_above_the_spot_or_module_count_rejected(sizes):
+    """A block size that no block can take is an error, not a scenario with
+    no configurations."""
+    with pytest.raises(ScenarioError, match="exceeds"):
+        generate_scenario(GenParams(seed=0, **sizes))
+
+
+def test_equal_config_size_with_singletons_only_rejected():
+    with pytest.raises(ScenarioError, match="singletons only"):
+        generate_scenario(GenParams(n_spots=10, equal_config_size=5, singletons_only=True))
+
+
+def test_equal_config_size_at_the_spot_count_is_one_block():
+    scenario = generate_scenario(GenParams(n_spots=10, equal_config_size=10, seed=2))
+    assert [len(c.member_ids) for c in scenario.configurations] == [10]
+
+
 def test_singletons_only_mode():
     scenario = generate_scenario(GenParams(n_spots=40, singletons_only=True, seed=5))
     assert scenario.configurations == ()
@@ -81,7 +104,6 @@ def test_degree_cap_respected_in_generated_trees():
 
 
 def test_unplaceable_with_impossible_degree_cap():
-    import random
     with pytest.raises(UnplaceableConfigurationError):
         _grid_tree(5, random.Random(0), max_degree=1)
 
@@ -100,3 +122,19 @@ def test_arena_bounds_for_anchor_positions():
         assert 0.0 <= module.pose.x <= 15.0
         assert 0.0 <= module.pose.y <= 15.0
         assert 0.0 <= module.pose.theta <= 3.15
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=1, max_value=4),
+       st.booleans(), st.integers(min_value=0, max_value=2 ** 32))
+def test_grid_tree_matches_the_rebuilding_reference(n, max_degree, compact, seed):
+    """The kept candidate list draws exactly what a rebuild from the whole
+    layout draws, including when growth fails."""
+    results = []
+    for grow in (_grid_tree, reference_grid_tree):
+        rng = random.Random(seed)
+        try:
+            results.append((grow(n, rng, max_degree, compact), rng.getstate()))
+        except UnplaceableConfigurationError as error:
+            results.append(("unplaceable", str(error)))
+    assert results[0] == results[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -23,6 +24,7 @@ from shapeform.model import (
     planar_distance,
     validate_scenario,
 )
+from shapeform.simulate import run_scenario
 
 from conftest import adjacency, config_from_edges, path_target, tree_edges_from_seed
 
@@ -42,6 +44,115 @@ def two_module_config_scenario():
 
 def test_minimal_two_module_tree_is_valid():
     scenario = two_module_config_scenario()
+    assert validate_scenario(scenario) is scenario
+
+
+def _single_fault_parts() -> dict:
+    """A valid scenario's parts: a two-member configuration, two singletons
+    and a four-spot path target."""
+    modules = [Module(0, Pose(0.0, 0.0), config_id=0), Module(1, Pose(1.0, 0.0), config_id=0),
+               Module(2, Pose(2.0, 0.0)), Module(3, Pose(3.0, 0.0))]
+    config = Configuration(id=0, member_ids=(0, 1), edges=frozenset({(0, 1)}), leader_id=0)
+    return {"modules": modules, "configurations": [config], "spots": list(path_target(4).spots),
+            "cost_params": CostParams(), "algo_params": AlgoParams()}
+
+
+def _replace(key, i, **changes):
+    """A fault: item ``i`` of the part list ``key`` with some fields changed."""
+    return lambda parts: parts[key].__setitem__(i, dataclasses.replace(parts[key][i], **changes))
+
+
+def _scenario_from_parts(parts) -> Scenario:
+    return Scenario(modules=tuple(parts["modules"]),
+                    configurations=tuple(parts["configurations"]),
+                    target=TargetConfiguration(spots=tuple(parts["spots"])),
+                    cost_params=parts["cost_params"], algo_params=parts["algo_params"])
+
+
+def _triangle_and_isolated_spot(parts):
+    links = {0: {1, 2}, 1: {0, 2}, 2: {0, 1}, 3: set()}
+    parts["spots"] = [dataclasses.replace(s, neighbor_ids=frozenset(links[s.id]))
+                      for s in parts["spots"]]
+
+
+SINGLE_FAULTS = [
+    ("self-loop", _replace("configurations", 0, edges=frozenset({(0, 0)})),
+     NotATreeError, "self-loop"),
+    ("unknown edge id", _replace("configurations", 0, edges=frozenset({(0, 5)})),
+     DanglingReferenceError, "unknown id"),
+    ("duplicate edge", _replace("configurations", 0, edges=frozenset({(0, 1), (1, 0)})),
+     NotATreeError, "duplicate edge"),
+    ("disconnected tree", _triangle_and_isolated_spot, NotATreeError, "not connected"),
+    ("max_degree below 1", lambda p: p.update(algo_params=AlgoParams(max_degree=0)),
+     ScenarioError, "max_degree must be >= 1"),
+    ("no modules", lambda p: p.update(modules=[], configurations=[]),
+     ScenarioError, "at least one module"),
+    ("alpha_loc zero", lambda p: p.update(cost_params=CostParams(alpha_loc=0.0)),
+     ScenarioError, "alpha_loc > 0"),
+    ("negative module id", _replace("modules", 3, id=-1),
+     ScenarioError, "module id must be non-negative"),
+    ("duplicate configuration id", lambda p: p["configurations"].append(p["configurations"][0]),
+     DuplicateIdError, "duplicate configuration id"),
+    ("one-member configuration", _replace("configurations", 0, member_ids=(0,)),
+     ScenarioError, "at least 2 members"),
+    ("repeated member", _replace("configurations", 0, member_ids=(0, 1, 1)),
+     DuplicateIdError, "repeats a member id"),
+    ("config_id mismatch", _replace("modules", 1, config_id=None),
+     DanglingReferenceError, "carries config_id None"),
+    ("unknown configuration", _replace("modules", 2, config_id=7),
+     DanglingReferenceError, "unknown configuration 7"),
+    ("negative spot id", _replace("spots", 3, id=-1),
+     ScenarioError, "spot id must be non-negative"),
+    ("duplicate spot id", _replace("spots", 3, id=2), DuplicateIdError, "duplicate spot id 2"),
+    ("spot lists itself", _replace("spots", 3, neighbor_ids=frozenset({2, 3})),
+     NotATreeError, "lists itself"),
+    ("unknown neighbour", _replace("spots", 3, neighbor_ids=frozenset({2, 9})),
+     DanglingReferenceError, "unknown neighbor 9"),
+]
+
+
+def test_single_fault_base_is_valid():
+    scenario = _scenario_from_parts(_single_fault_parts())
+    assert validate_scenario(scenario) is scenario
+
+
+@pytest.mark.parametrize("fault, error, message", [case[1:] for case in SINGLE_FAULTS],
+                         ids=[case[0] for case in SINGLE_FAULTS])
+def test_single_fault_raises_its_named_error(fault, error, message):
+    parts = _single_fault_parts()
+    fault(parts)
+    with pytest.raises(ScenarioError, match=message) as info:
+        validate_scenario(_scenario_from_parts(parts))
+    assert type(info.value) is error
+
+
+def far_singletons_scenario(scale: float) -> Scenario:
+    """Three singletons at (s, s), (-s, -s) and (0, s) on a 3-spot path."""
+    poses = (Pose(scale, scale), Pose(-scale, -scale), Pose(0.0, scale))
+    return make_scenario([Module(i, pose) for i, pose in enumerate(poses)])
+
+
+def test_positions_whose_totals_overflow_rejected():
+    with pytest.raises(ScenarioError, match="overflow"):
+        validate_scenario(far_singletons_scenario(1e308))
+
+
+def test_large_finite_positions_plan_to_finite_totals():
+    metrics = run_scenario(validate_scenario(far_singletons_scenario(1e306))).metrics
+    assert math.isfinite(metrics.total_utility) and math.isfinite(metrics.total_distance)
+    assert metrics.total_distance > 1e306
+
+
+def test_cost_params_whose_totals_overflow_rejected():
+    scenario = make_scenario([Module(0, Pose(0.0, 0.0)), Module(1, Pose(1.0, 0.0))],
+                             cost_params=CostParams(alpha_loc=1e308))
+    with pytest.raises(ScenarioError, match="overflow"):
+        validate_scenario(scenario)
+
+
+def test_huge_integer_degree_cap_is_no_overflow():
+    scenario = make_scenario([Module(0, Pose(0.0, 0.0)), Module(1, Pose(1.0, 0.0))],
+                             algo_params=AlgoParams(max_degree=10 ** 400))
     assert validate_scenario(scenario) is scenario
 
 

@@ -150,3 +150,30 @@ def test_non_list_configuration_field_rejected(field, value):
     doc["configurations"][0][field] = value
     with pytest.raises(ParseError, match=f"configurations\\[0\\].{field}: expected a list"):
         scenario_from_dict(doc)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda doc: doc["modules"].__setitem__(0, [0, 1]), r"modules\[0\]: expected an object"),
+    (lambda doc: doc["modules"][0].update(x="1.5"), r"modules\[0\]\.x: expected a number"),
+    (lambda doc: doc["configurations"][0].update(edges=[[0, 1, 2]]),
+     r"configurations\[0\]\.edges: expected \[a, b\] pairs"),
+    (lambda doc: (doc["configurations"][0].pop("leader"),
+                  doc["configurations"][0].update(members=[90, 91])),
+     r"configurations\[0\]: cannot derive leader"),
+], ids=["non-object", "non-number", "malformed edge pair", "underivable leader"])
+def test_malformed_document_raises_parse_error(fault, message):
+    doc = scenario_to_dict(generate_scenario(GenParams(n_spots=12, seed=3)))
+    fault(doc)
+    with pytest.raises(ParseError, match=message):
+        scenario_from_dict(doc)
+
+
+def test_saved_result_records_every_disconnection(tmp_path):
+    result = run_scenario(generate_scenario(GenParams(n_spots=20, seed=3)))
+    assert len(result.disconnections) >= 2
+    path = tmp_path / "result.json"
+    save_result(result, path)
+    records = json.loads(path.read_text())["disconnections"]
+    assert records == [{"module": d.module_id, "config": d.config_id,
+                        "severed_links": [list(link) for link in d.severed_links]}
+                       for d in result.disconnections]
