@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
-from .isomorphism import Embedding, TargetStates, best_embeddings, order_embeddings
+from .isomorphism import MCS, Embedding, TargetStates, best_embeddings, order_embeddings
 from .metrics import target_center
 from .model import ScenarioIndex
 from .utility import module_spot_utility, preserved_links
@@ -213,13 +213,6 @@ class PlanContext:
         return [s for _, s in heapq.merge(rescored, fixed)]
 
 
-@dataclass
-class BlockResult:
-    embedding: Optional[Embedding]
-    disconnected: tuple[int, ...]
-    evicted: tuple[int, ...]
-
-
 def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
           ctx: PlanContext) -> Optional[list[tuple[int, int]]]:
     """Try to cancel ``block_id``'s selection so ``curr_id`` can take it.
@@ -345,8 +338,9 @@ def _center_distance_order(module_ids, ctx: PlanContext) -> list[int]:
                                             ctx.index.module_by_id[m].pose.y - cy), m))
 
 
-def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -> BlockResult:
-    """Select a set of adjacent spots for a whole configuration.
+def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -> None:
+    """Select a set of adjacent spots for a whole configuration; the turn
+    reports only through ``state``.
 
     Candidate embeddings come from the part of the target not yet held by
     block members and are tried in descending block utility.  An embedding
@@ -356,7 +350,9 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
     best one is taken anyway: members whose spots cannot be freed are
     disconnected and fall back to singleton allocation, as do members left
     unmatched by a maximum-common-subtree embedding (those go in order of
-    their distance from the target center).
+    their distance from the target center).  When block members hold every
+    spot there is no embedding, and the empty one stands in for it: it
+    commits at once, places nobody and leaves every member unmatched.
     """
     index = ctx.index
     config = index.config_by_id[config_id]
@@ -370,17 +366,9 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
         for module_id in module_ids:
             spot_allocation(module_id, state, ctx)
 
-    held = frozenset(state.block_held)
-    embeddings = []
-    if len(held) < len(index.spot_by_id):
-        embeddings = best_embeddings(config, ctx.target_states,
-                                     index.algo_params.max_embeddings, held)
-    if not embeddings:
-        # pathological: nothing in common with the target; scatter everyone
-        order = _center_distance_order(config.member_ids, ctx)
-        scatter(order)
-        return BlockResult(embedding=None, disconnected=tuple(order), evicted=())
-    ordered = order_embeddings(embeddings, ctx.values, index)
+    embeddings = best_embeddings(config, ctx.target_states, index.algo_params.max_embeddings,
+                                 frozenset(state.block_held))
+    ordered = order_embeddings(embeddings, ctx.values, index) or [Embedding({}, MCS)]
 
     # Every attempt but the last stops at the first holder that resists and
     # is rolled back; the last re-attempts the best embedding and keeps
@@ -422,5 +410,3 @@ def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -
         [m for m in config.member_ids if m not in embedding.mapping], ctx)
     scatter(blocked)
     scatter(unmatched)
-    return BlockResult(embedding=embedding, disconnected=tuple(blocked + unmatched),
-                       evicted=tuple(evicted))

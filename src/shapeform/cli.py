@@ -78,7 +78,7 @@ def generate(n_spots, n_modules, seed, equal_config_size, singletons_only,
 
 
 @main.command()
-@click.argument("scenario_path", type=click.Path(exists=True))
+@click.argument("scenario_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--dmax", type=int, default=None, help="Override eviction bound.")
 @click.option("--max-embeddings", type=int, default=None)
 @click.option("--out", type=str, default=None)
@@ -134,7 +134,7 @@ def sweep(kind, points, n_spots, runs, seed, dmax, max_embeddings, out, fmt):
 
 
 @main.command()
-@click.argument("case_dir", type=click.Path(exists=True), default="cases")
+@click.argument("case_dir", type=click.Path(exists=True, file_okay=False), default="cases")
 @click.option("--out", type=str, default=None)
 def cases(case_dir, out):
     """Run the bundled formation cases and check recorded expectations."""

@@ -46,7 +46,7 @@ MCS = "mcs"
 
 
 class DegenerateInputError(ValueError):
-    """Embedding requested for an empty configuration or target."""
+    """Embedding requested for an empty configuration."""
 
 
 @dataclass(frozen=True)
@@ -289,9 +289,12 @@ def best_embeddings(config: Configuration, states: TargetStates, max_embeddings:
     """Full embeddings when any exist, else maximum common subtree embeddings,
     sharing one table of subtree sizes across both phases.  Spots in
     ``held`` are left out of the target, as if the search ran on the forest
-    that remains."""
-    if not config.member_ids or len(states.target_adj) <= len(held):
-        raise DegenerateInputError("embedding requires a non-empty configuration and target")
+    that remains; when they are every spot, that forest is empty and holds
+    no embedding, so the result is ``[]``."""
+    if not config.member_ids:
+        raise DegenerateInputError("embedding requires a non-empty configuration")
+    if len(held) >= len(states.target_adj):
+        return []
     search = _PairSearch(config, states, held)
     return (search.collect(len(config.member_ids), FULL, max_embeddings)
             or search.collect(search.max_common_size(), MCS, max_embeddings))

@@ -2,8 +2,10 @@
 
 Each sweep runs a batch of seeded scenarios per sweep point and reports
 mean/std rows, ready to dump as CSV or JSON.  Seeds derive from one
-master seed so every report regenerates identically; failed runs are
-recorded in the report instead of being dropped.
+master seed so every report regenerates identically.  A run whose drawn
+scenario cannot be generated is recorded in the report as a failure
+instead of being dropped; a sweep that no run could serve fails before its
+first run, and an engine error ends the sweep.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,12 +22,14 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .auction import AuctionParams, auction_assign, singleton_utility_matrix
-from .generate import GenParams, generate_scenario, random_tree_configuration
+from .generate import (GenParams, UnplaceableConfigurationError, generate_scenario,
+                       random_tree_configuration)
 from .isomorphism import TargetStates, best_embeddings
 from .metrics import spot_values
 from .model import (
     AlgoParams,
     Scenario,
+    ScenarioError,
     ScenarioIndex,
     planar_distance,
     validate_algo_params,
@@ -172,25 +177,43 @@ _KINDS = {
 SWEEP_KINDS = tuple(_KINDS)
 
 
+def _check_points(kind: str, points: tuple[int, ...], params: SweepParams) -> None:
+    """Raise ``ScenarioError`` for a sweep no run could serve: fewer than one
+    run, a module count below 1, a block size below 2, a ``table1`` block
+    larger than the target, or an ``mcs_time`` target without spots."""
+    if params.runs < 1:
+        raise ScenarioError(f"runs must be at least 1, not {params.runs}")
+    if kind == "mcs_time" and params.spots < 1:
+        raise ScenarioError(f"spots must be at least 1, not {params.spots}")
+    low = 2 if kind in ("table1", "mcs_time") else 1
+    high = params.spots if kind == "table1" else math.inf
+    for point in points:
+        if not low <= point <= high:
+            raise ScenarioError(f"{kind} {_KINDS[kind].point} {point} outside {low}..{high}")
+
+
 def run_sweep(kind: str, params: SweepParams = SweepParams()) -> SweepReport:
     """Measure ``params.runs`` seeded runs at every point of the kind's grid
     (or ``params.points``) and report one mean/std row per point.  Bad
-    algorithm bounds raise ``ScenarioError`` before any run, rather than
-    failing every run."""
+    algorithm bounds, run counts or points raise ``ScenarioError`` before
+    any run, rather than failing every run.  A run whose scenario cannot be
+    generated is recorded as a failure; any other error propagates."""
     if kind not in _KINDS:
         raise ValueError(f"unknown sweep kind '{kind}' (expected one of {SWEEP_KINDS})")
     validate_algo_params(params.algo_params)
     spec = _KINDS[kind]
+    points = spec.grid if params.points is None else params.points
+    _check_points(kind, points, params)
     columns = [spec.point] + [f"{name}_{stat}" for name in spec.measured
                               for stat in ("mean", "std")]
     report = SweepReport(kind=kind, columns=columns, rows=[], runs=params.runs,
                          seed=params.seed)
-    for point in spec.grid if params.points is None else params.points:
+    for point in points:
         samples: dict[str, list] = {name: [] for name in spec.measured}
         for run in range(params.runs):
             try:
                 measured = spec.measure(point, _run_seed(params.seed, kind, point, run), params)
-            except Exception as exc:  # noqa: BLE001 - recorded, not dropped
+            except (ScenarioError, UnplaceableConfigurationError) as exc:
                 report.failures.append((point, run, repr(exc)))
                 continue
             for name in spec.measured:

@@ -67,27 +67,21 @@ def module_spot_utility(module: Module, spot: Spot, values: Mapping[int, float],
     return values[spot.id] - module_spot_cost(module, spot, index, preserved)
 
 
-def block_cost(mapping: Mapping[int, int], index: ScenarioIndex) -> float:
-    """Summed member costs minus the retention reward for the block size.
+def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],
+                  index: ScenarioIndex) -> float:
+    """Summed spot values of the image minus the block cost: the summed
+    member costs less the retention reward for the block size.  Both sums
+    run left to right, like every float sum here.
 
     A member's links are preserved only toward other members of the
     mapping; it is scored at the block's turn, when no member is placed.
     """
     if len(set(mapping.values())) != len(mapping):
         raise EmbeddingError("block mapping must be injective")
-    total = 0.0
+    value = cost = 0.0
     for module_id, spot_id in mapping.items():
-        total += module_spot_cost(index.module_by_id[module_id], index.spot_by_id[spot_id],
-                                  index, preserved_links(module_id, spot_id, index,
-                                                         mapping.get))
-    return total - retention_reward(len(mapping), index.n_modules)
-
-
-def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],
-                  index: ScenarioIndex) -> float:
-    """Summed spot values of the image (left to right, like every float sum
-    here) minus the block cost."""
-    total = 0.0
-    for spot_id in mapping.values():
-        total += values[spot_id]
-    return total - block_cost(mapping, index)
+        value += values[spot_id]
+        cost += module_spot_cost(index.module_by_id[module_id], index.spot_by_id[spot_id],
+                                 index, preserved_links(module_id, spot_id, index,
+                                                        mapping.get))
+    return value - (cost - retention_reward(len(mapping), index.n_modules))

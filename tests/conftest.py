@@ -7,7 +7,8 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from shapeform.allocation import BLOCK_MEMBER, SINGLETON, AllocationState
-from shapeform.generate import GenParams, generate_scenario
+from shapeform import sweeps
+from shapeform.generate import GenParams, UnplaceableConfigurationError, generate_scenario
 from shapeform.model import (
     AlgoParams,
     Configuration,
@@ -232,3 +233,12 @@ def grid_scenarios(draw, max_spots=10):
 @pytest.fixture
 def three_path_target():
     return path_target(3)
+
+
+@pytest.fixture
+def unplaceable_runs(monkeypatch):
+    """Every scenario a sweep run draws fails to generate."""
+    def unplaceable(params):
+        raise UnplaceableConfigurationError(f"cannot place seed {params.seed}")
+
+    monkeypatch.setattr(sweeps, "generate_scenario", unplaceable)

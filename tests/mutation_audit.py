@@ -9,7 +9,8 @@ anywhere inside the repository:
 
     python tests/mutation_audit.py
 
-It takes one suite run per row.  Its name does not start with ``test_``,
+It exits 0 only if the unmutated copy passes and every mutant is killed,
+and 1 otherwise, so it can gate CI.  It takes one suite run per row.  Its name does not start with ``test_``,
 so pytest never collects it.
 """
 
@@ -104,7 +105,7 @@ def main() -> int:
         print(f"| {Path(path).name} | {shown} | {breaks} | "
               f"{'SURVIVED' if survived else 'killed'} |", flush=True)
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
-    return 0
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

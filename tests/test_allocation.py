@@ -222,9 +222,8 @@ def test_block_takes_whole_free_window():
     index = ScenarioIndex.build(scenario)
     ctx = PlanContext.build(index, spot_values(scenario.target))
     state = AllocationState()
-    result = block_allocation(0, state, ctx)
-    assert result.embedding is not None and result.embedding.kind == "full"
-    assert result.disconnected == ()
+    block_allocation(0, state, ctx)
+    assert state.disconnections == []
     assert len(state.selections) == 8
     assert all(state.spot_of(m) in state.block_held for m in range(8))
     broadcasts = [e for e in state.event_log if e.event_type == SELECTION_BROADCAST]
@@ -246,9 +245,9 @@ def test_evicted_modules_rerun_direct_blocker_first():
     state = AllocationState()
     state.select(1, 2, SINGLETON)
     state.select(2, 3, SINGLETON)
-    result = block_allocation(0, state, ctx)
-    assert result.embedding.mapping == {0: 0, 1: 1}
-    assert result.evicted == (2, 3)
+    block_allocation(0, state, ctx)
+    assert state.block_held == {0, 1}
+    assert state.disconnections == []
     assert [e.actor for e in state.event_log if e.event_type == SELECTION_BROADCAST] == \
         ["configuration:0", "module:2", "module:3"]
     assert state.selections == {0: 0, 1: 1, 2: 2, 3: 3}
@@ -265,10 +264,8 @@ def test_branch_config_sheds_one_module_to_free_end():
     index = ScenarioIndex.build(scenario)
     ctx = PlanContext.build(index, spot_values(scenario.target))
     state = AllocationState()
-    result = block_allocation(0, state, ctx)
-    assert result.embedding.kind == "mcs"
-    assert result.embedding.size == 4
-    assert len(result.disconnected) == 1
+    block_allocation(0, state, ctx)
+    assert len(state.block_held) == 4  # a 4-module common subtree stays together
     assert len(state.selections) == 5  # the detached module found the last spot
     assert len(state.disconnections) == 1
     assert state.disconnections[0].severed_links  # it really cut a link
@@ -305,11 +302,12 @@ def test_block_evicts_singleton_and_it_reselects():
     assert spot_allocation(50, state, ctx) is not None
     held = state.spot_of(50)
     assert held != 5  # it went for a window spot, not the spare
-    result = block_allocation(0, state, ctx)
-    assert result.embedding is not None
-    assert result.embedding.kind == "full"
-    assert result.disconnected == ()
-    assert 50 in result.evicted
+    block_allocation(0, state, ctx)
+    assert sorted(state.spot_of(m) for m in range(8)) == sorted(state.block_held)
+    assert len(state.block_held) == 8
+    assert state.disconnections == []
+    broadcasts = [e.actor for e in state.event_log if e.event_type == SELECTION_BROADCAST]
+    assert broadcasts[broadcasts.index("configuration:0") + 1:] == ["module:50"]
     assert state.spot_of(50) == 5  # re-homed on the spare spot
 
 
@@ -329,11 +327,11 @@ def test_failed_embedding_attempts_roll_back():
     state = AllocationState()
     state.select(1, 3, BLOCK_MEMBER)   # immovable mid-chain blocker
     state.select(2, 4, SINGLETON)      # evictable neighbor
-    result = block_allocation(0, state, ctx)
+    block_allocation(0, state, ctx)
     # spots 1 and 2 cannot both be freed, so the block splits around them
     assert state.selections[1] == 3
     assert len(state.selections) == 4
-    assert result.disconnected  # somebody had to leave the block
+    assert state.disconnections  # somebody had to leave the block
 
 
 def test_pathological_no_common_shape_disconnects_everyone():
@@ -347,7 +345,7 @@ def test_pathological_no_common_shape_disconnects_everyone():
     index = ScenarioIndex.build(scenario)
     ctx = PlanContext.build(index, spot_values(scenario.target))
     state = AllocationState()
-    result = block_allocation(0, state, ctx)
+    block_allocation(0, state, ctx)
     # maximum common piece is a single module; the other detaches and
     # finds no spot left
     assert len(state.selections) == 1
@@ -372,8 +370,9 @@ def test_scattered_members_at_equal_distance_go_in_id_order():
     state = AllocationState()
     block_allocation(0, state, ctx)
     assert state.selections == {0: 0, 1: 1}  # the first block takes the whole target
-    result = block_allocation(1, state, ctx)
-    assert result.embedding is None
+    block_allocation(1, state, ctx)
+    assert state.block_held == {0, 1}  # no embedding: nobody of block 1 joins them
+    assert state.spot_of(2) is None and state.spot_of(3) is None
     assert [e.actor for e in state.event_log if e.event_type == DISCONNECT] == \
         ["module:2", "module:3"]
 

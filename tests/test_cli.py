@@ -14,6 +14,9 @@ from shapeform.simulate import run_scenario
 from shapeform.sweeps import run_cases
 
 
+CASES = Path(__file__).resolve().parent.parent / "cases"
+
+
 def assert_input_error(result, name):
     """A bad input ends the command with one ``Error:`` line naming it and
     exit code 1, not a traceback."""
@@ -154,6 +157,40 @@ def test_sweep_rejects_invalid_bounds_up_front(tmp_path, option, value, name):
     assert_input_error(result, name)
     assert "failed runs" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, name", [
+    (["table1", "--points", "20", "--spots", "10", "--runs", "1"], "config_size 20"),
+    (["mcs_time", "--points", "1", "--runs", "1"], "config_size 1"),
+    (["scaling", "--points", "5", "--runs", "0"], "runs"),
+])
+def test_sweep_rejects_unrunnable_points_up_front(tmp_path, args, name):
+    """A sweep that no run could serve fails once and writes no report."""
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, ["sweep", *args, "--out", str(out)])
+    assert_input_error(result, name)
+    assert not out.exists()
+
+
+def test_sweep_reports_failed_runs(tmp_path, unplaceable_runs):
+    out = tmp_path / "sweep.csv"
+    result = CliRunner().invoke(main, ["sweep", "scaling", "--points", "6", "--runs", "2",
+                                       "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "2 failed runs recorded" in result.output
+    assert out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    (["run", str(CASES)], "is a directory"),
+    (["cases", str(CASES / "case1_two_windows.json")], "is a file"),
+])
+def test_path_of_the_wrong_kind_is_a_usage_error(tmp_path, args, message):
+    result = CliRunner().invoke(main, [*args, "--out", str(tmp_path / "out.json")])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_sweep_rejects_malformed_points(tmp_path):

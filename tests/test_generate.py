@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import reference_grid_tree
 
 from shapeform.generate import (
+    GROW_ATTEMPTS,
     GenParams,
     UnplaceableConfigurationError,
     generate_scenario,
@@ -106,6 +107,17 @@ def test_degree_cap_respected_in_generated_trees():
 def test_unplaceable_with_impossible_degree_cap():
     with pytest.raises(UnplaceableConfigurationError):
         _grid_tree(5, random.Random(0), max_degree=1)
+
+
+def test_grid_tree_gives_up_after_its_attempts():
+    """A compact 100-node tree with degree cap 2 never fits its box."""
+    with pytest.raises(UnplaceableConfigurationError, match=f"after {GROW_ATTEMPTS} attempts"):
+        _grid_tree(100, random.Random(0), 2, compact=True)
+
+
+def test_config_size_range_below_two_rejected():
+    with pytest.raises(ScenarioError, match="at least 2"):
+        generate_scenario(GenParams(n_spots=20, config_size_range=(1, 5)))
 
 
 def test_random_tree_configuration_helper():

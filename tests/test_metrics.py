@@ -95,6 +95,11 @@ def test_target_center_examples():
     assert target_center(square) == (1.0, 1.0)
 
 
+def test_target_center_of_empty_target_raises():
+    with pytest.raises(EmptyTargetError):
+        target_center(TargetConfiguration(spots=()))
+
+
 def _scenario_with_entities(singleton_positions, config_leader_positions):
     modules = []
     configurations = []

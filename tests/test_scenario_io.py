@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -177,3 +178,12 @@ def test_saved_result_records_every_disconnection(tmp_path):
     assert records == [{"module": d.module_id, "config": d.config_id,
                         "severed_links": [list(link) for link in d.severed_links]}
                        for d in result.disconnections]
+
+
+def test_readme_example_scenario_plans():
+    """The scenario in the README's format section parses and plans fully."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    scenario = scenario_from_dict(json.loads(example))
+    assert len(scenario.target.spots) == 3
+    assert run_scenario(scenario).complete

@@ -205,6 +205,15 @@ def test_hole_detected_on_inconsistent_schedule():
         simulate_acting(result)  # the planned schedule (0, 1) reaches the popped spot 0
 
 
+def test_schedule_missing_a_selected_spot_is_detected():
+    scenario = singleton_scenario([(0.0, 1.0), (1.0, 1.0)], path_target(2))
+    result = run_planning(scenario)
+    assert result.complete
+    result.acting_schedule = result.acting_schedule[:-1]  # drop one selected spot
+    with pytest.raises(HoleDetectedError, match="did not cover"):
+        simulate_acting(result)
+
+
 def test_extra_modules_leave_no_spot_found():
     target = path_target(2)
     scenario = singleton_scenario([(0, 1), (1, 1), (2, 1), (3, 1)], target)

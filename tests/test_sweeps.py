@@ -6,6 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from shapeform import sweeps
+from shapeform.allocation import AllocationError
+from shapeform.model import ScenarioError
 from shapeform.scenario_io import save_scenario
 from shapeform.sweeps import SWEEP_KINDS, SweepParams, run_cases, run_sweep
 
@@ -63,11 +66,33 @@ def test_row_counts_match_sweep_points():
         assert [r[0] for r in run_sweep(kind, SMALL).rows] == [4, 8]
 
 
-def test_failures_recorded_not_dropped():
-    bad = SweepParams(points=(1,), runs=2, seed=0)  # size-1 block is invalid
-    report = run_sweep("mcs_time", bad)
+def test_failures_recorded_not_dropped(unplaceable_runs):
+    report = run_sweep("mcs_time", SweepParams(points=(3,), runs=2, seed=0))
     assert len(report.failures) == 2
     assert report.rows  # the row still appears, with empty statistics
+
+
+@pytest.mark.parametrize("kind, params, name", [
+    ("table1", SweepParams(points=(20,), runs=1, spots=10), "config_size 20"),
+    ("table1", SweepParams(points=(1,), runs=1), "config_size 1"),
+    ("mcs_time", SweepParams(points=(1,), runs=1), "config_size 1"),
+    ("mcs_time", SweepParams(points=(3,), runs=1, spots=0), "spots"),
+    ("scaling", SweepParams(points=(5,), runs=0), "runs"),
+    ("scaling", SweepParams(points=(0,), runs=1), "n_modules 0"),
+    ("auction_compare", SweepParams(points=(0,), runs=1), "n_modules 0"),
+])
+def test_unrunnable_sweeps_fail_up_front(kind, params, name):
+    with pytest.raises(ScenarioError, match=name):
+        run_sweep(kind, params)
+
+
+def test_engine_errors_end_the_sweep(monkeypatch):
+    def broken(scenario):
+        raise AllocationError("spot 0 already selected")
+
+    monkeypatch.setattr(sweeps, "run_scenario", broken)
+    with pytest.raises(AllocationError):
+        run_sweep("scaling", SMALL)
 
 
 def test_report_write_csv_and_json(tmp_path):

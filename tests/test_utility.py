@@ -23,7 +23,6 @@ from shapeform.model import (
 from shapeform.utility import (
     BlockSizeError,
     EmbeddingError,
-    block_cost,
     block_utility,
     module_spot_cost,
     module_spot_utility,
@@ -134,20 +133,26 @@ def _block_fixture(n_members, total_modules, distance=5.0):
     return index, mapping
 
 
-def test_block_cost_two_members():
+def _block_cost(mapping, index):
+    """The block's cost: its utility with every spot worth 0, negated."""
+    return -block_utility(mapping, dict.fromkeys(index.spot_by_id, 0.0), index)
+
+
+def test_block_utility_two_members():
     index, mapping = _block_fixture(2, total_modules=10)
-    assert block_cost(mapping, index) == pytest.approx(10.0)
+    assert _block_cost(mapping, index) == pytest.approx(10.0)
+    assert block_utility(mapping, {0: 1.0, 1: 2.0}, index) == pytest.approx(3.0 - 10.0)
 
 
-def test_block_cost_three_members():
+def test_block_utility_three_members():
     index, mapping = _block_fixture(3, total_modules=10)
-    assert block_cost(mapping, index) == pytest.approx(15.0 - 0.1)
+    assert _block_cost(mapping, index) == pytest.approx(15.0 - 0.1)
 
 
-def test_block_cost_rejects_non_injective_mapping():
+def test_block_utility_rejects_non_injective_mapping():
     index, _ = _block_fixture(3, total_modules=10)
     with pytest.raises(EmbeddingError, match="injective"):
-        block_cost({0: 0, 1: 1, 2: 1}, index)
+        _block_cost({0: 0, 1: 1, 2: 1}, index)
 
 
 @pytest.mark.parametrize("size, total", [(0, 10), (11, 10)])
@@ -266,7 +271,7 @@ def test_whole_config_embedding_pays_dock_only_for_boundary(n, seed, extra):
     scenario = _scenario(modules, [config], spots)
     index = ScenarioIndex.build(scenario)
     mapping = {i: i for i in range(n)}
-    total = block_cost(mapping, index)
+    total = _block_cost(mapping, index)
     locomotion = sum(
         DEFAULTS.alpha_loc * planar_distance(index.module_by_id[i].pose, index.spot_by_id[i].pose)
         for i in range(n))
@@ -279,7 +284,7 @@ def test_whole_config_embedding_pays_dock_only_for_boundary(n, seed, extra):
 def test_block_cheaper_than_severed_singletons(n, seed):
     """Keeping a block together beats paying every dock as a singleton."""
     index, mapping = _block_fixture(n, total_modules=n + 3)
-    as_block = block_cost(mapping, index)
+    as_block = _block_cost(mapping, index)
     # oracle: same geometry, no configuration
     loose = _scenario([Module(i, Pose(float(i), 5.0)) for i in range(n)], [],
                       [index.spot_by_id[i] for i in range(n)], n_fill=3)
