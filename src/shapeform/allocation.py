@@ -14,9 +14,7 @@ stays eligible as the walker's alternative in every later contest, and the
 holder can gain at most its table maximum outside the contested spot.  The
 test is ``evict``'s own sum, so float rounding moves both sides the same way
 and ties are decided alike; a failed ``evict`` changes nothing, so the plan
-is the same with or without the bound.  Reach needs no test of its own:
-``evict`` follows the chain of holders to a free spot before it scores any
-hop, so a chain that meets none within the depth bound fails unscored.
+is the same with or without the bound.
 """
 
 from __future__ import annotations
@@ -217,17 +215,19 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
           ctx: PlanContext) -> Optional[list[tuple[int, int]]]:
     """Try to cancel ``block_id``'s selection so ``curr_id`` can take it.
 
-    Chain first: the blocker's best alternative is found, and if another
-    singleton holds it the contest recurses to that holder, until a free
-    spot is met; a chain that meets none within the depth bound fails
-    before any hop is scored.  Each hop is then scored on return: it stands
-    only if the combined utility of (curr at the contested spot, blocker at
-    its best alternative) strictly beats (curr at its own best alternative,
-    blocker where it is).  Every hop is scored against the call's state,
-    since nothing is unselected until the whole chain has passed; only the
-    depth-0 call then removes the chain's selections.  Both best
-    alternatives range over every spot except the contested one and those
-    held by block members (``PlanContext.best_spot``).
+    The walk comes first: each hop's blocker finds its best alternative, and
+    if another singleton holds it, that holder blocks the next hop; a free
+    spot ends the walk.  It fails unscored at the depth bound (``depth``
+    counts hops already walked), at a blocker with no alternative, or at a
+    blocker it has passed.  That last stop is exact: a blocker's next
+    blocker depends on the blocker and the state alone, and the walk
+    changes no state, so it would go round the same cycle until the bound.
+    Then each hop, deepest first, stands only if the combined utility of
+    (mover at the contested spot, blocker at its best alternative) strictly
+    beats (mover at its own best alternative, blocker where it is), all
+    against the unchanged state.  Both best alternatives range over every
+    spot but the contested one and those held by block members
+    (``PlanContext.best_spot``), so every later blocker is a singleton.
 
     Returns the (module, freed spot) chain, deepest hop first, or ``None``
     with the state unchanged.  The caller re-runs allocation for evicted
@@ -237,25 +237,24 @@ def evict(curr_id: int, block_id: int, depth: int, state: AllocationState,
     contested = state.spot_of(block_id)
     if contested is None or contested in state.block_held:
         raise AllocationError(f"module {block_id} holds no singleton selection to evict")
-    if depth >= ctx.index.algo_params.max_eviction_depth:
-        return None
-    block_best = ctx.best_spot(block_id, state, contested)
-    if block_best is None:
-        return None
-    # ``best_spot`` skips block-held spots, so the holder is a singleton or None
-    holder = state.selector_of(block_best)
-    chain = [] if holder is None else evict(block_id, holder, depth + 1, state, ctx)
-    if chain is None:
-        return None
-    curr_alt = ctx.best_spot(curr_id, state, contested)
-    gain = ctx.utility(curr_id, contested, state) + ctx.utility(block_id, block_best, state)
-    keep = ctx.utility(curr_id, curr_alt, state) + ctx.utility(block_id, contested, state)
-    if not gain > keep:
-        return None
-    chain.append((block_id, contested))
-    if depth == 0:
-        for module_id, _ in chain:
-            state.unselect(module_id)
+    hops = []  # (mover, blocker, contested spot, blocker's best alternative)
+    mover, blocker, spot = curr_id, block_id, contested
+    while blocker is not None:
+        if (depth + len(hops) >= ctx.index.algo_params.max_eviction_depth
+                or blocker in [hop[1] for hop in hops]
+                or (best := ctx.best_spot(blocker, state, spot)) is None):
+            return None
+        hops.append((mover, blocker, spot, best))
+        mover, blocker, spot = blocker, state.selector_of(best), best
+    for mover, blocker, spot, best in reversed(hops):
+        mover_alt = ctx.best_spot(mover, state, spot)
+        gain = ctx.utility(mover, spot, state) + ctx.utility(blocker, best, state)
+        keep = ctx.utility(mover, mover_alt, state) + ctx.utility(blocker, spot, state)
+        if not gain > keep:
+            return None
+    chain = [(blocker, spot) for _, blocker, spot, _ in reversed(hops)]
+    for module_id, _ in chain:
+        state.unselect(module_id)
     return chain
 
 

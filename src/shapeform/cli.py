@@ -18,12 +18,26 @@ from .sweeps import SWEEP_KINDS, SweepParams, run_cases, run_sweep
 OUT_DIR_ENV = "SHAPEFORM_OUT_DIR"
 
 
+def _writable(path: Path, source: str) -> Path:
+    """``path`` if a file can be written there; a usage error (exit 2), raised
+    before any work, if it names a directory or its directory is missing."""
+    if path.is_dir():
+        raise click.UsageError(f"{source}: {str(path)!r} is a directory")
+    if not path.parent.is_dir():
+        raise click.UsageError(f"{source}: directory {str(path.parent)!r} does not exist")
+    return path
+
+
 def _out_path(out: str | None, default_name: str) -> Path:
     if out:
-        return Path(out)
+        return _writable(Path(out), "--out")
     base = Path(os.environ.get(OUT_DIR_ENV, "."))
-    base.mkdir(parents=True, exist_ok=True)
-    return base / default_name
+    try:
+        base.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        raise click.UsageError(f"{OUT_DIR_ENV}: cannot use {str(base)!r} "
+                               "as a directory") from None
+    return _writable(base / default_name, OUT_DIR_ENV)
 
 
 def _parse_points(text: str) -> tuple[int, ...]:
@@ -58,19 +72,20 @@ def main() -> None:
 @click.option("--equal-config-size", type=int, default=None,
               help="All initial configurations take this size (reproduction mode).")
 @click.option("--singletons-only", is_flag=True, default=False)
-@click.option("--dmax", type=int, default=3, help="Eviction recursion bound.")
+@click.option("--dmax", type=int, default=3,
+              help="Eviction depth bound: the most hops an eviction chain may take.")
 @click.option("--max-embeddings", type=int, default=20)
 @click.option("--out", type=str, default=None)
 def generate(n_spots, n_modules, seed, equal_config_size, singletons_only,
              dmax, max_embeddings, out):
     """Generate a random scenario file."""
+    path = _out_path(out, f"scenario_{n_spots}_{seed}.json")
     params = GenParams(n_spots=n_spots, n_modules=n_modules, seed=seed,
                        equal_config_size=equal_config_size,
                        singletons_only=singletons_only,
                        algo_params=AlgoParams(max_eviction_depth=dmax,
                                               max_embeddings=max_embeddings))
     scenario = generate_scenario(params)
-    path = _out_path(out, f"scenario_{n_spots}_{seed}.json")
     save_scenario(scenario, path)
     click.echo(f"wrote {path} ({len(scenario.modules)} modules, "
                f"{len(scenario.configurations)} configurations, "
@@ -85,6 +100,8 @@ def generate(n_spots, n_modules, seed, equal_config_size, singletons_only,
 @click.option("--events", type=str, default=None, help="Also export the event log here.")
 def run(scenario_path, dmax, max_embeddings, out, events):
     """Plan and act one scenario, saving the result as JSON."""
+    path = _out_path(out, Path(scenario_path).stem + "_result.json")
+    events_path = _writable(Path(events), "--events") if events else None
     scenario = load_scenario(scenario_path)
     algo = scenario.algo_params
     if dmax is not None:
@@ -93,10 +110,9 @@ def run(scenario_path, dmax, max_embeddings, out, events):
         algo = dataclasses.replace(algo, max_embeddings=max_embeddings)
     scenario = validate_scenario(dataclasses.replace(scenario, algo_params=algo))
     result = run_scenario(scenario)
-    path = _out_path(out, Path(scenario_path).stem + "_result.json")
     save_result(result, path)
-    if events:
-        export_event_log(result, events)
+    if events_path:
+        export_event_log(result, events_path)
     m = result.metrics
     click.echo(f"complete={result.complete} spots={len(result.allocation)} "
                f"planning={m.planning_wall_time * 1000:.1f}ms "
@@ -120,12 +136,12 @@ def run(scenario_path, dmax, max_embeddings, out, events):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def sweep(kind, points, n_spots, runs, seed, dmax, max_embeddings, out, fmt):
     """Run one experiment sweep and write a report."""
+    path = _out_path(out, f"sweep_{kind}.{fmt}")
     params = SweepParams(points=_parse_points(points) if points else None, runs=runs,
                          seed=seed, spots=n_spots,
                          algo_params=AlgoParams(max_eviction_depth=dmax,
                                                 max_embeddings=max_embeddings))
     report = run_sweep(kind, params)
-    path = _out_path(out, f"sweep_{kind}.{fmt}")
     report.write(path, fmt)
     click.echo(report.to_csv().rstrip())
     if report.failures:

@@ -211,6 +211,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
     """
     if not scenario.modules:
         raise ScenarioError("scenario needs at least one module")
+    if not scenario.target.spots:
+        raise ScenarioError("target needs at least one spot")
     cp = scenario.cost_params
     for name in ("alpha_loc", "c_dock", "c_undock"):
         if not math.isfinite(getattr(cp, name)):
@@ -283,8 +285,7 @@ def validate_scenario(scenario: Scenario) -> Scenario:
                     f"spot {s.id} lists {n} as neighbor but not vice versa")
             if s.id < n:
                 pairs.append((s.id, n))
-    if scenario.target.spots:
-        _check_tree(sorted(spot_ids), pairs, "target", ap.max_degree)
+    _check_tree(sorted(spot_ids), pairs, "target", ap.max_degree)
     _check_finite_totals(scenario)
     return scenario
 

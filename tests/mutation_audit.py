@@ -1,17 +1,20 @@
 """Mutation audit: which small, plausible bugs does the tier-1 suite catch?
 
 For every row of ``MUTANTS`` the script copies the checkout (tracked and
-untracked files that git does not ignore) into a temporary directory,
-applies that one mutant there, runs the tier-1 tests against the copy and
-reports the mutant as killed (a test failed) or survived (every test
-passed).  The unmutated copy is run first and must pass.  Run it from
-anywhere inside the repository:
+untracked files that git does not ignore) into a temporary directory and
+applies that one mutant there.  It runs the row's killing test against the
+copy first, and the whole tier-1 suite only if that test passes, since a
+mutant survives only if every test passes.  The unmutated copy is run first
+and must pass the whole suite.  Run it from anywhere inside the
+repository:
 
     python tests/mutation_audit.py
 
-It exits 0 only if the unmutated copy passes and every mutant is killed,
-and 1 otherwise, so it can gate CI.  It takes one suite run per row.  Its name does not start with ``test_``,
-so pytest never collects it.
+It exits 0 only if the unmutated copy passes and every mutant is killed by
+its own killing test, and 1 otherwise, so it can gate CI; a mutant that
+only another test kills is reported as such, because its row names the
+wrong test.  Its name does not start with ``test_``, so pytest never
+collects it.
 """
 
 from __future__ import annotations
@@ -21,40 +24,55 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 TIER1 = (sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
          "--continue-on-collection-errors")
 
-# (file, old text, new text, what the mutant breaks); the old text must
-# occur exactly once in the file
+# (file, old text, new text, what the mutant breaks, the test that kills it);
+# the old text must occur exactly once in the file
 MUTANTS = (
     ("src/shapeform/allocation.py", "if not gain > keep:", "if not gain >= keep:",
-     "an eviction that only ties is accepted"),
-    ("src/shapeform/allocation.py", "evict(block_id, holder, depth + 1, state, ctx)",
-     "evict(block_id, holder, depth + 2, state, ctx)",
-     "eviction chains stop at half the depth bound"),
+     "an eviction that only ties is accepted",
+     "tests/test_allocation.py::test_exact_tie_keeps_the_holder"),
+    ("src/shapeform/allocation.py",
+     "depth + len(hops) >= ctx.index.algo_params.max_eviction_depth",
+     "depth + len(hops) > ctx.index.algo_params.max_eviction_depth",
+     "eviction chains walk one hop past the depth bound",
+     "tests/test_allocation.py::test_evict_depth_bound"),
+    ("src/shapeform/allocation.py", "                or blocker in [hop[1] for hop in hops]\n",
+     "",
+     "a walk that meets a blocker again goes round the cycle to the depth bound",
+     "tests/test_allocation.py::test_a_walk_stops_at_a_blocker_it_has_passed"),
     ("src/shapeform/allocation.py", "ctx.index.module_by_id[m].pose.y - cy), m))",
      "ctx.index.module_by_id[m].pose.y - cy), -m))",
-     "members at equal distance from the center scatter higher id first"),
+     "members at equal distance from the center scatter higher id first",
+     "tests/test_allocation.py::test_scattered_members_at_equal_distance_go_in_id_order"),
     ("src/shapeform/allocation.py", "for module_id, _ in reversed(chain)]",
      "for module_id, _ in chain]",
-     "modules evicted by a block re-run deepest hop first"),
+     "modules evicted by a block re-run deepest hop first",
+     "tests/test_allocation.py::test_evicted_modules_rerun_direct_blocker_first"),
     ("src/shapeform/isomorphism.py", "sum(e.mapping.values())))",
      "-sum(e.mapping.values())))",
-     "embeddings of equal utility prefer the larger spot-id sum"),
+     "embeddings of equal utility prefer the larger spot-id sum",
+     "tests/test_isomorphism.py::test_exact_utility_ties_come_in_ascending_spot_sum"),
     ("src/shapeform/allocation.py", "blocked.sort()", "blocked.sort(reverse=True)",
-     "blocked members scatter higher id first"),
+     "blocked members scatter higher id first",
+     "tests/test_golden.py::test_digests_match_golden"),
     ("src/shapeform/allocation.py",
      "        if self._spot_by_module.get(module_id) in self.block_held:\n"
      "            raise AllocationError(f\"module {module_id} holds a permanent block "
      "selection\")\n",
      "",
-     "unselect releases a block member's permanent spot"),
+     "unselect releases a block member's permanent spot",
+     "tests/test_allocation.py::test_unselect_of_a_block_member_raises"),
     ("src/shapeform/generate.py", "if c != cell and degree[p] < max_degree]",
      "if c != cell]",
-     "grown trees keep attaching to nodes that reached the degree cap"),
+     "grown trees keep attaching to nodes that reached the degree cap",
+     "tests/test_generate.py::test_degree_cap_respected_in_generated_trees"),
 )
 
 
@@ -66,9 +84,9 @@ def checkout_files() -> list[str]:
             if name and (ROOT / name).is_file()]
 
 
-def tier1_passes(files: list[str], mutant: tuple[str, str, str] | None) -> bool:
-    """Run the tier-1 tests in a fresh copy of ``files`` with the mutant
-    (file, old, new) applied; True if every test passed."""
+@contextmanager
+def mutated_copy(files: list[str], mutant: tuple[str, str, str] | None) -> Iterator[Path]:
+    """A fresh copy of ``files`` with the mutant (file, old, new) applied."""
     with tempfile.TemporaryDirectory(prefix="shapeform-mutant-") as tmp:
         copy = Path(tmp)
         for name in files:
@@ -80,32 +98,41 @@ def tier1_passes(files: list[str], mutant: tuple[str, str, str] | None) -> bool:
             if text.count(old) != 1:
                 raise SystemExit(f"{path}: the mutant's old text must occur exactly once: {old!r}")
             (copy / path).write_text(text.replace(old, new))
-        env = {**os.environ, "PYTHONPATH": str(copy / "src")}
-        done = subprocess.run(TIER1, cwd=copy, env=env,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        if done.returncode not in (0, 1):
-            raise SystemExit(f"pytest exited {done.returncode} (not a test result) "
-                             f"for mutant {mutant!r}")
-        return done.returncode == 0
+        yield copy
+
+
+def passes(copy: Path, *tests: str) -> bool:
+    """Run ``tests`` (default: the whole tier-1 suite) in ``copy``; True if
+    every test passed."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src")}
+    done = subprocess.run((*TIER1, *tests), cwd=copy, env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    if done.returncode not in (0, 1):
+        raise SystemExit(f"pytest exited {done.returncode} (not a test result) "
+                         f"running {' '.join(tests) or 'the suite'} in {copy}")
+    return done.returncode == 0
 
 
 def main() -> int:
     files = checkout_files()
-    if not tier1_passes(files, None):
-        print("the unmutated checkout fails its tier-1 tests; no audit", file=sys.stderr)
-        return 1
-    print("| file | mutant | breaks | result |")
-    print("|---|---|---|---|")
-    survivors = 0
-    for path, old, new, breaks in MUTANTS:
-        survived = tier1_passes(files, (path, old, new))
-        survivors += survived
+    with mutated_copy(files, None) as copy:
+        if not passes(copy):
+            print("the unmutated checkout fails its tier-1 tests; no audit", file=sys.stderr)
+            return 1
+    print("| file | mutant | breaks | killing test | result |")
+    print("|---|---|---|---|---|")
+    failures = 0
+    for path, old, new, breaks, test in MUTANTS:
+        with mutated_copy(files, (path, old, new)) as copy:
+            result = ("killed" if not passes(copy, test)
+                      else "killed by another test" if not passes(copy) else "SURVIVED")
+        failures += result != "killed"
         first = old.strip().splitlines()[0]
-        shown = f"`{first}` → `{new}`" if new else f"drop `{first}` and its raise"
-        print(f"| {Path(path).name} | {shown} | {breaks} | "
-              f"{'SURVIVED' if survived else 'killed'} |", flush=True)
-    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
-    return 1 if survivors else 0
+        shown = f"`{first}` → `{new}`" if new else f"drop `{first}`"
+        print(f"| {Path(path).name} | {shown} | {breaks} | `{test.split('::')[-1]}` | "
+              f"{result} |", flush=True)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed by their own test")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ from shapeform.allocation import (
     evict,
     spot_allocation,
 )
+from shapeform.generate import GenParams, generate_scenario
 from shapeform.metrics import rank_entities, spot_values
 from shapeform.model import (
     AlgoParams,
@@ -142,6 +143,45 @@ def test_depth_bound_stops_the_chain():
     state.select(1, 2, SINGLETON)
     assert spot_allocation(0, state, ctx) == 2  # deep eviction not allowed
     assert state.selections == {0: 1, 1: 2, 2: 0}
+
+
+def with_dmax(scenario, d_max):
+    return dataclasses.replace(scenario, algo_params=dataclasses.replace(
+        scenario.algo_params, max_eviction_depth=d_max))
+
+
+@pytest.mark.parametrize("singletons_only", [True, False])
+def test_any_depth_bound_plans_without_recursion(singletons_only):
+    """A depth bound far beyond the module count plans like the module
+    count itself: no walk passes a blocker twice, so none is ever longer."""
+    for seed in range(1, 6):
+        scenario = generate_scenario(GenParams(n_spots=60, singletons_only=singletons_only,
+                                               seed=seed))
+        expected = run_planning(with_dmax(scenario, len(scenario.modules))).event_log
+        for d_max in (1000, 10 ** 6):
+            assert run_planning(with_dmax(scenario, d_max)).event_log == expected
+
+
+def test_a_walk_stops_at_a_blocker_it_has_passed(monkeypatch):
+    """On integer positions holders' best alternatives form cycles; a walk
+    stops where it meets one, so a depth bound beyond the module count
+    calls ``best_spot`` no more often than the module count."""
+    scenario = singleton_scenario([(-2.0, 1.0), (1.0, -2.0), (-1.0, 1.0), (0.0, 2.0)],
+                                  path_target(4))
+    best_spot = PlanContext.best_spot
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return best_spot(*args)
+
+    monkeypatch.setattr(PlanContext, "best_spot", counted)
+    counts, logs = [], []
+    for d_max in (len(scenario.modules), 10 ** 4):
+        calls.clear()
+        logs.append(run_planning(with_dmax(scenario, d_max)).event_log)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] and logs[0] == logs[1]
 
 
 def test_exact_tie_keeps_the_holder():
@@ -492,18 +532,16 @@ def test_rescored_spot_ties_with_fixed_spot():
 
 
 @st.composite
-def contest_states(draw):
+def contest_states(draw, max_depth=4):
     """A scenario full of exact ties (integer grid) or of links to placed
     partners (generated, mixed), a random partial allocation on it and an
-    eviction depth of 0-4."""
+    eviction depth of 0 to ``max_depth``."""
     if draw(st.booleans()):
         scenario = draw(grid_scenarios())
         state = random_partial_state(scenario, random.Random(draw(st.integers(0, 2 ** 16))))
     else:
         scenario, state, _ = draw(partial_states())
-    algo = dataclasses.replace(scenario.algo_params,
-                               max_eviction_depth=draw(st.integers(min_value=0, max_value=4)))
-    return dataclasses.replace(scenario, algo_params=algo), state
+    return with_dmax(scenario, draw(st.integers(min_value=0, max_value=max_depth))), state
 
 
 def copied(state):
@@ -516,11 +554,12 @@ def copied(state):
 
 
 @settings(max_examples=200)
-@given(contest_states())
+@given(contest_states(max_depth=40))
 def test_evict_matches_the_pre_order_reference(drawn):
     """Every contest an unplaced module can start over a singleton-held spot
     gives the reference's chain, or ``None`` for both, and leaves the same
-    selections behind."""
+    selections behind.  Depths up to 40 let walks round a cycle of holders
+    reach the bound."""
     scenario, state = drawn
     index = ScenarioIndex.build(scenario)
     ctx = PlanContext.build(index, spot_values(scenario.target))

@@ -265,3 +265,52 @@ def test_out_dir_env_override(tmp_path, monkeypatch):
     result = runner.invoke(main, ["generate", "--spots", "5", "--seed", "0"])
     assert result.exit_code == 0, result.output
     assert (tmp_path / "outputs" / "scenario_5_0.json").exists()
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Every command's work fails the test: what it refuses, it must refuse
+    before generating, planning or sweeping anything."""
+    def work(*args, **kwargs):
+        raise AssertionError("the command ran before it checked its output paths")
+
+    for name in ("generate_scenario", "run_scenario", "run_sweep", "run_cases"):
+        monkeypatch.setattr(cli, name, work)
+
+
+def assert_usage_error(result, message):
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output and "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["generate", "--spots", "5", "--out", "{tmp}"], "is a directory"),
+    (["sweep", "scaling", "--points", "6", "--runs", "1", "--out", "{tmp}"], "is a directory"),
+    (["cases", str(CASES), "--out", "{tmp}"], "is a directory"),
+    (["run", "{scenario}", "--out", "{tmp}/r.json", "--events", "{tmp}"], "is a directory"),
+    (["run", "{scenario}", "--out", "{tmp}/missing/r.json"], "does not exist"),
+], ids=["generate", "sweep", "cases", "run-events", "run-missing-directory"])
+def test_unwritable_output_path_is_a_usage_error(tmp_path, args, message, no_work):
+    scenario = tmp_path / "scenario.json"
+    save_scenario(generate_scenario(GenParams(n_spots=5, seed=1)), scenario)
+    args = [arg.format(tmp=tmp_path, scenario=scenario) for arg in args]
+    assert_usage_error(CliRunner().invoke(main, args), message)
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_out_dir_env_naming_a_file_is_a_usage_error(tmp_path, monkeypatch, no_work):
+    (tmp_path / "outputs").write_text("")
+    monkeypatch.setenv("SHAPEFORM_OUT_DIR", str(tmp_path / "outputs"))
+    result = CliRunner().invoke(main, ["generate", "--spots", "5", "--seed", "0"])
+    assert_usage_error(result, "SHAPEFORM_OUT_DIR")
+
+
+def test_run_rejects_a_target_without_spots(tmp_path):
+    scenario = tmp_path / "no_spots.json"
+    scenario.write_text(json.dumps({
+        "modules": [{"id": 0, "x": 1.0, "y": 1.0, "theta": 0.0, "config_id": None}],
+        "configurations": [], "target": {"spots": []}, "seed": 0}))
+    result = CliRunner().invoke(main, ["run", str(scenario), "--out", str(tmp_path / "r.json")])
+    assert_input_error(result, "target needs at least one spot")
+    assert not (tmp_path / "r.json").exists()

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from shapeform.generate import GenParams, generate_scenario
-from shapeform.model import AlgoParams, CostParams
+from shapeform.model import AlgoParams, CostParams, ScenarioError
 from shapeform.scenario_io import (
     ParseError,
     export_event_log,
@@ -70,6 +70,13 @@ def test_invalid_json_reports_line(tmp_path):
 def test_missing_required_field():
     with pytest.raises(ParseError, match="seed"):
         scenario_from_dict({"modules": [], "configurations": [], "target": {"spots": []}})
+
+
+def test_target_without_spots_rejected():
+    with pytest.raises(ScenarioError, match="target needs at least one spot"):
+        scenario_from_dict({
+            "modules": [{"id": 0, "x": 1.0, "y": 1.0, "theta": 0.0, "config_id": None}],
+            "configurations": [], "target": {"spots": []}, "seed": 0})
 
 
 def test_leader_derived_when_absent():
