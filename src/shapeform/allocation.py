@@ -28,7 +28,7 @@ from typing import Mapping, Optional
 from .isomorphism import MCS, Embedding, TargetStates, best_embeddings, order_embeddings
 from .metrics import target_center
 from .model import ScenarioIndex
-from .utility import module_spot_utility, preserved_links
+from .utility import module_spot_cost, preserved_links, utility_row
 
 SINGLETON = "singleton"
 BLOCK_MEMBER = "block_member"
@@ -102,34 +102,29 @@ class AllocationState:
                                               event_type=event_type, payload=payload))
 
 
-@dataclass(frozen=True)
 class PlanContext:
     """Everything a selection decision needs: scenario lookups, spot values,
-    the target center, fixed utility tables and the target state numbering.
+    the target center, one utility row per module and the target state
+    numbering.
 
-    A module's state-free utility for a spot charges docking for every spot
-    neighbour and undocking for every initial link.  Against the evolving
-    selections, both charges are waived only across an adjacency between
-    the spot and a spot where one of the module's initial link partners now
-    sits.  Every other spot therefore keeps its state-free utility bit for
-    bit (the same expression with the same charge counts), so the table and
-    its preference order are computed once per module and only the few
-    spots next to placed partners are re-scored.  Modules without initial
-    links never need re-scoring.  Validation keeps every cost finite, so
-    utilities order totally and ties fall to the lower spot id everywhere.
+    A module's state-free utility for a spot (``utility_row``) charges
+    docking for every spot neighbour and undocking for every initial link.
+    Against the evolving selections, both charges are waived only across an
+    adjacency between the spot and a spot where one of the module's initial
+    link partners now sits.  Every other spot therefore keeps its row value
+    bit for bit (the same expression with the same charge counts), so each
+    module's row and its preference order are built together, once, by
+    ``_row``, and only the few spots next to placed partners are re-scored.
+    Modules without initial links never need re-scoring.  Validation keeps
+    every cost finite, so utilities order totally and ties fall to the lower
+    spot id everywhere.
     """
 
-    index: ScenarioIndex
-    values: Mapping[int, float]
-    center: tuple[float, float]
-    _fixed_utility: dict[int, dict[int, float]]
-    _fixed_order: dict[int, list[int]]
-
-    @staticmethod
-    def build(index: ScenarioIndex, values: Mapping[int, float]) -> "PlanContext":
-        return PlanContext(index=index, values=values,
-                           center=target_center(index.scenario.target),
-                           _fixed_utility={}, _fixed_order={})
+    def __init__(self, index: ScenarioIndex, values: Mapping[int, float]) -> None:
+        self.index = index
+        self.values = values
+        self.center = target_center(index.scenario.target)
+        self._rows: dict[int, tuple[dict[int, float], list[int]]] = {}
 
     @cached_property
     def target_states(self) -> TargetStates:
@@ -137,30 +132,19 @@ class PlanContext:
 
     def utility(self, module_id: int, spot_id: int, state: AllocationState) -> float:
         if not self.index.module_links[module_id]:
-            return self._table(module_id)[spot_id]
-        return module_spot_utility(self.index.module_by_id[module_id],
-                                   self.index.spot_by_id[spot_id], self.values, self.index,
-                                   preserved_links(module_id, spot_id, self.index,
-                                                   state.spot_of))
+            return self._row(module_id)[0][spot_id]
+        return self.values[spot_id] - module_spot_cost(
+            self.index.module_by_id[module_id], self.index.spot_by_id[spot_id], self.index,
+            preserved_links(module_id, spot_id, self.index, state.spot_of))
 
-    def _table(self, module_id: int) -> dict[int, float]:
-        """State-free utility of every spot for the module."""
-        table = self._fixed_utility.get(module_id)
-        if table is None:
-            module = self.index.module_by_id[module_id]
-            table = {spot.id: module_spot_utility(module, spot, self.values, self.index)
-                     for spot in self.index.spot_by_id.values()}
-            self._fixed_utility[module_id] = table
-        return table
-
-    def _order(self, module_id: int) -> list[int]:
-        """Spot ids by descending state-free utility, ties by lower id."""
-        order = self._fixed_order.get(module_id)
-        if order is None:
-            table = self._table(module_id)
-            order = sorted(table, key=lambda s: (-table[s], s))
-            self._fixed_order[module_id] = order
-        return order
+    def _row(self, module_id: int) -> tuple[dict[int, float], list[int]]:
+        """The module's state-free utility at every spot, and the spot ids by
+        descending utility, ties by lower id."""
+        row = self._rows.get(module_id)
+        if row is None:
+            table = utility_row(self.index.module_by_id[module_id], self.values, self.index)
+            row = self._rows[module_id] = (table, sorted(table, key=lambda s: (-table[s], s)))
+        return row
 
     def _near_partners(self, module_id: int, state: AllocationState) -> set[int]:
         """Spots adjacent to a spot held by one of the module's initial link
@@ -186,9 +170,10 @@ class PlanContext:
         near = self._near_partners(module_id, state)
         keys = [(self.utility(module_id, s, state), -s) for s in near
                 if s != contested and s not in held]
-        for spot_id in self._order(module_id):
+        table, order = self._row(module_id)
+        for spot_id in order:
             if spot_id not in near and spot_id != contested and spot_id not in held:
-                keys.append((self._table(module_id)[spot_id], -spot_id))
+                keys.append((table[spot_id], -spot_id))
                 break
         return -max(keys)[1] if keys else None
 
@@ -196,16 +181,15 @@ class PlanContext:
         """The largest state-free utility over every spot but ``spot_id``
         (there must be another spot).  For a module without links this bounds
         its utility at any spot other than ``spot_id`` from above."""
-        order = self._order(module_id)
-        return self._table(module_id)[order[1] if order[0] == spot_id else order[0]]
+        table, order = self._row(module_id)
+        return table[order[1] if order[0] == spot_id else order[0]]
 
     def preference_order(self, module_id: int, state: AllocationState) -> list[int]:
         """Spot ids in descending utility, ties by lower id."""
-        order = self._order(module_id)
+        table, order = self._row(module_id)
         near = self._near_partners(module_id, state)
         if not near:
             return order
-        table = self._table(module_id)
         rescored = sorted((-self.utility(module_id, s, state), s) for s in near)
         fixed = ((-table[s], s) for s in order if s not in near)
         return [s for _, s in heapq.merge(rescored, fixed)]

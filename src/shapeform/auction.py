@@ -16,7 +16,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .model import ScenarioIndex
-from .utility import module_spot_utility
+from .utility import utility_row
 
 
 class NonTerminationError(RuntimeError):
@@ -50,15 +50,14 @@ def default_epsilon(utilities: np.ndarray, n_spots: int) -> float:
 def singleton_utility_matrix(index: ScenarioIndex,
                              values: Mapping[int, float]) -> tuple[list[int], list[int], np.ndarray]:
     """Utility of every module for every spot with no link preserved: the
-    planner's state-free utility, which for a singleton is spot value minus
-    locomotion minus full docking at the spot."""
+    planner's state-free rows (``utility_row``) stacked by module id, their
+    columns by spot id."""
     module_ids = sorted(index.module_by_id)
     spot_ids = sorted(index.spot_by_id)
     matrix = np.empty((len(module_ids), len(spot_ids)))
     for i, mid in enumerate(module_ids):
-        module = index.module_by_id[mid]
-        for j, sid in enumerate(spot_ids):
-            matrix[i, j] = module_spot_utility(module, index.spot_by_id[sid], values, index)
+        row = utility_row(index.module_by_id[mid], values, index)
+        matrix[i] = [row[sid] for sid in spot_ids]
     return module_ids, spot_ids, matrix
 
 

@@ -83,8 +83,8 @@ def _params(cls: type, doc: Mapping[str, Any], key: str) -> Any:
 
 
 def _pose(obj: Mapping[str, Any], ctx: str) -> Pose:
-    theta = _num(obj["theta"], f"{ctx}.theta") if "theta" in obj else 0.0
-    return Pose(x=_num(obj["x"], f"{ctx}.x"), y=_num(obj["y"], f"{ctx}.y"), theta=theta)
+    return Pose(x=_num(obj["x"], f"{ctx}.x"), y=_num(obj["y"], f"{ctx}.y"),
+                theta=_num(obj["theta"], f"{ctx}.theta"))
 
 
 def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:

@@ -99,7 +99,7 @@ def run_planning(scenario: Scenario) -> PlanResult:
                   {"x": module.pose.x, "y": module.pose.y, "theta": module.pose.theta})
 
     values = spot_values(scenario.target)
-    ctx = PlanContext.build(index, values)
+    ctx = PlanContext(index, values)
     for entity in rank_entities(index, ctx.center):
         if entity.kind == CONFIGURATION:
             block_allocation(entity.entity_id, state, ctx)

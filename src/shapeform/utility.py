@@ -61,10 +61,14 @@ def module_spot_cost(module: Module, spot: Spot, index: ScenarioIndex,
             + params.c_undock * (len(index.module_links[module.id]) - preserved))
 
 
-def module_spot_utility(module: Module, spot: Spot, values: Mapping[int, float],
-                        index: ScenarioIndex, preserved: int = 0) -> float:
-    """Spot value minus the module's cost to occupy it."""
-    return values[spot.id] - module_spot_cost(module, spot, index, preserved)
+def utility_row(module: Module, values: Mapping[int, float],
+                index: ScenarioIndex) -> dict[int, float]:
+    """The module's state-free utility at every spot, by spot id: spot value
+    minus ``module_spot_cost`` with no link preserved.  The planner's tables
+    and the auction's matrix both read this row; nothing else computes
+    state-free utility."""
+    return {spot.id: values[spot.id] - module_spot_cost(module, spot, index)
+            for spot in index.spot_by_id.values()}
 
 
 def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],

@@ -20,6 +20,7 @@ from shapeform.allocation import (
     evict,
     spot_allocation,
 )
+from shapeform.auction import singleton_utility_matrix
 from shapeform.generate import GenParams, generate_scenario
 from shapeform.metrics import rank_entities, spot_values
 from shapeform.model import (
@@ -48,13 +49,17 @@ from oracles import ReferenceSingletonPlanner, reference_evict, reference_spot_c
 
 
 def seeded_context(scenario, tables):
-    """PlanContext whose singleton utilities come from explicit tables."""
+    """PlanContext whose singleton utilities come from explicit tables: each
+    seeded module's row is built by ``PlanContext._row`` from its table."""
     index = ScenarioIndex.build(scenario)
     values = spot_values(scenario.target)
-    ctx = PlanContext.build(index, values)
-    for module_id, table in tables.items():
-        assert not index.module_links[module_id]
-        ctx._fixed_utility[module_id] = dict(table)
+    ctx = PlanContext(index, values)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocation, "utility_row",
+                      lambda module, values, index: dict(tables[module.id]))
+        for module_id in tables:
+            assert not index.module_links[module_id]
+            ctx._row(module_id)
     return ctx
 
 
@@ -213,7 +218,7 @@ def test_matches_reference_planner(scenario):
     result = run_planning(scenario)
     index = ScenarioIndex.build(scenario)
     values = spot_values(scenario.target)
-    ctx = PlanContext.build(index, values)
+    ctx = PlanContext(index, values)
     order = [e.entity_id for e in rank_entities(index, ctx.center)]
     reference = ReferenceSingletonPlanner(scenario).run(order)
     assert result.allocation == reference
@@ -260,7 +265,7 @@ def window_scenario(block_first=True):
 def test_block_takes_whole_free_window():
     scenario = window_scenario()
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     state = AllocationState()
     block_allocation(0, state, ctx)
     assert state.disconnections == []
@@ -302,7 +307,7 @@ def test_branch_config_sheds_one_module_to_free_end():
     scenario = validate_scenario(Scenario(
         modules=tuple(modules), configurations=(config,), target=target))
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     state = AllocationState()
     block_allocation(0, state, ctx)
     assert len(state.block_held) == 4  # a 4-module common subtree stays together
@@ -337,7 +342,7 @@ def test_block_evicts_singleton_and_it_reselects():
     scenario = validate_scenario(Scenario(
         modules=tuple(modules), configurations=(config,), target=target))
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     state = AllocationState()
     assert spot_allocation(50, state, ctx) is not None
     held = state.spot_of(50)
@@ -363,7 +368,7 @@ def test_failed_embedding_attempts_roll_back():
     scenario = validate_scenario(Scenario(
         modules=tuple(modules + singles), configurations=(config,), target=target))
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     state = AllocationState()
     state.select(1, 3, BLOCK_MEMBER)   # immovable mid-chain blocker
     state.select(2, 4, SINGLETON)      # evictable neighbor
@@ -383,7 +388,7 @@ def test_pathological_no_common_shape_disconnects_everyone():
     scenario = validate_scenario(Scenario(
         modules=tuple(modules), configurations=(config,), target=target))
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     state = AllocationState()
     block_allocation(0, state, ctx)
     # maximum common piece is a single module; the other detaches and
@@ -406,7 +411,7 @@ def test_scattered_members_at_equal_distance_go_in_id_order():
     scenario = validate_scenario(Scenario(
         modules=tuple(modules), configurations=configs, target=target))
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     state = AllocationState()
     block_allocation(0, state, ctx)
     assert state.selections == {0: 0, 1: 1}  # the first block takes the whole target
@@ -421,7 +426,7 @@ def test_scattered_members_at_equal_distance_go_in_id_order():
 @given(singleton_scenarios(min_modules=2, max_modules=5))
 def test_selections_stay_injective(scenario):
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     state = AllocationState()
     for module in sorted(index.singleton_ids):
         if state.spot_of(module) is None:
@@ -480,7 +485,7 @@ def brute_order(utility, spot_ids):
 def test_best_spot_and_order_match_full_scan(drawn):
     scenario, state, contested = drawn
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     for module in scenario.modules:
         def utility(s, module=module):
             return ctx.values[s] - reference_spot_cost(module, index.spot_by_id[s], index,
@@ -490,6 +495,33 @@ def test_best_spot_and_order_match_full_scan(drawn):
         assert ctx.best_spot(module.id, state, contested[module.id]) == \
             brute_best(utility, spot_ids, state, contested[module.id])
         assert ctx.preference_order(module.id, state) == brute_order(utility, spot_ids)
+
+
+@settings(max_examples=60)
+@given(generated_scenarios(), partial_states())
+def test_rows_are_bit_identical_across_auction_and_planner(scenario, drawn):
+    """The auction's matrix holds the planner's rows, and a linked module's
+    utility equals its row at every spot not next to a placed partner: both
+    compared with ``==``, bit for bit."""
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext(index, spot_values(scenario.target))
+    module_ids, spot_ids, matrix = singleton_utility_matrix(index, ctx.values)
+    empty = AllocationState()
+    for i, module_id in enumerate(module_ids):
+        table = ctx._row(module_id)[0]
+        assert [table[s] for s in spot_ids] == matrix[i].tolist()
+        assert all(ctx.utility(module_id, s, empty) == table[s] for s in spot_ids)
+
+    scenario, state, _ = drawn
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext(index, spot_values(scenario.target))
+    linked = {m: partners for m, partners in index.module_links.items() if partners}
+    for module_id, partners in linked.items():
+        near = {n for p in partners if (held := state.spot_of(p)) is not None
+                for n in index.spot_neighbors[held]}
+        table = ctx._row(module_id)[0]
+        assert all(ctx.utility(module_id, s, state) == table[s]
+                   for s in index.spot_by_id if s not in near)
 
 
 def test_best_spot_ties_go_to_lower_id_in_seeded_tables():
@@ -520,7 +552,7 @@ def test_rescored_spot_ties_with_fixed_spot():
             modules=modules, configurations=(config,), target=target,
             cost_params=CostParams(c_dock=0.0, c_undock=0.0)))
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(target))
+    ctx = PlanContext(index, spot_values(target))
     state = AllocationState()
     state.select(4, 1, BLOCK_MEMBER)  # partner next to spot 3 only
     assert ctx.utility(0, 1, state) == ctx.utility(0, 3, state)
@@ -562,7 +594,7 @@ def test_evict_matches_the_pre_order_reference(drawn):
     reach the bound."""
     scenario, state = drawn
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     for module in scenario.modules:
         if state.spot_of(module.id) is not None:
             continue
@@ -584,7 +616,7 @@ def test_skipped_contests_are_ones_evict_rejects(drawn):
     ones."""
     scenario, state = drawn
     index = ScenarioIndex.build(scenario)
-    ctx = PlanContext.build(index, spot_values(scenario.target))
+    ctx = PlanContext(index, spot_values(scenario.target))
     selections = dict(state.selections)
     for module in scenario.modules:
         if state.spot_of(module.id) is not None:

@@ -25,9 +25,9 @@ from shapeform.utility import (
     EmbeddingError,
     block_utility,
     module_spot_cost,
-    module_spot_utility,
     preserved_links,
     retention_reward,
+    utility_row,
 )
 
 from conftest import adjacency, partial_states, path_target, tree_edges_from_seed
@@ -168,15 +168,13 @@ def test_module_spot_utility_examples():
     scenario = _scenario([Module(0, Pose(3.0, 4.0))], [], spots)
     index = ScenarioIndex.build(scenario)
     values = {0: 1.0, 1: 0.0, 2: 0.0}
-    utility = module_spot_utility(index.module_by_id[0], index.spot_by_id[0],
-                                  values, index)
+    utility = utility_row(index.module_by_id[0], values, index)[0]
     assert utility == pytest.approx(1.0 - 5.2)
     # module exactly on an isolated spot, nothing to form or sever
     lone = _scenario([Module(0, Pose(0.0, 0.0))], [],
                      [Spot(0, Pose(0.0, 0.0), frozenset())])
     lone_index = ScenarioIndex.build(lone)
-    assert module_spot_utility(lone_index.module_by_id[0], lone_index.spot_by_id[0],
-                               {0: 0.0}, lone_index) == 0.0
+    assert utility_row(lone_index.module_by_id[0], {0: 0.0}, lone_index)[0] == 0.0
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=5000))
@@ -192,8 +190,9 @@ def test_singleton_utilities_match_independent_recomputation(n, seed):
     oracle_values = brute_spot_values({s.id: set(s.neighbor_ids)
                                        for s in target.spots})
     for m in modules:
+        row = utility_row(m, values, index)
         for s in target.spots:
-            got = module_spot_utility(m, s, values, index)
+            got = row[s.id]
             expected = (oracle_values[s.id]
                         - math.hypot(m.pose.x - s.pose.x, m.pose.y - s.pose.y)
                         - 0.1 * len(s.neighbor_ids))
@@ -207,8 +206,9 @@ def test_block_utility_identity(n, seed):
     values = {s: 0.1 * s for s in index.spot_by_id}
     members = sorted(mapping)
     member_sum = sum(
-        module_spot_utility(index.module_by_id[m], index.spot_by_id[mapping[m]],
-                            values, index, preserved_links(m, mapping[m], index, mapping.get))
+        values[mapping[m]] - module_spot_cost(index.module_by_id[m],
+                                              index.spot_by_id[mapping[m]], index,
+                                              preserved_links(m, mapping[m], index, mapping.get))
         for m in members)
     expected = member_sum + retention_reward(len(mapping), index.n_modules)
     assert block_utility(mapping, values, index) == pytest.approx(expected)
@@ -220,8 +220,7 @@ def test_block_utility_size_one_identity():
     scenario = _scenario([Module(0, Pose(3.0, 4.0))], [], spots, n_fill=9)
     index = ScenarioIndex.build(scenario)
     values = {0: 0.5}
-    single = module_spot_utility(index.module_by_id[0], index.spot_by_id[0],
-                                 values, index)
+    single = utility_row(index.module_by_id[0], values, index)[0]
     got = block_utility({0: 0}, values, index)
     assert got == pytest.approx(single + (1 - 2) / 10)
 
