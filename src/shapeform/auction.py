@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -20,24 +20,20 @@ from .utility import utility_row
 
 
 class NonTerminationError(RuntimeError):
-    """The auction exceeded its round budget; epsilon is misconfigured."""
+    """The auction passed ``MAX_BIDS`` bids without settling."""
 
 
 class TooManyBiddersError(ValueError):
     """A forward auction got more bidders than items, so it cannot settle."""
 
 
-@dataclass(frozen=True)
-class AuctionParams:
-    epsilon: Optional[float] = None  # None: utility range / (spots + 1)
-    max_rounds: int = 1_000_000
+MAX_BIDS = 1_000_000  # safety budget; a settling auction stays far below it
 
 
 @dataclass(frozen=True)
 class AuctionResult:
     assignment: dict[int, int]  # spot id -> module id
-    rounds: int
-    broadcast_count: int
+    broadcast_count: int  # bids placed
     total_utility: float
     epsilon: float
 
@@ -97,28 +93,22 @@ def _forward_auction(utilities: np.ndarray, epsilon: float,
 
 
 def auction_assign(module_ids: Sequence[int], spot_ids: Sequence[int],
-                   utilities: np.ndarray,
-                   params: AuctionParams = AuctionParams()) -> AuctionResult:
-    """Assign modules to spots by iterative bidding.
+                   utilities: np.ndarray) -> AuctionResult:
+    """Assign modules to spots by iterative bidding, with ``epsilon`` from
+    the utility range (``default_epsilon``).
 
     ``utilities[i, j]`` is module ``module_ids[i]``'s utility for spot
     ``spot_ids[j]``.  With more modules than spots the roles reverse
     internally (spots bid for modules) so that bidding terminates; the
     result always covers min(modules, spots) pairs.
     """
-    if params.epsilon is not None and params.epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    epsilon = params.epsilon if params.epsilon is not None \
-        else default_epsilon(utilities, len(spot_ids))
-    if len(module_ids) <= len(spot_ids):
-        assigned, bids = _forward_auction(utilities, epsilon, params.max_rounds)
-        assignment = {spot_ids[j]: module_ids[i] for i, j in assigned.items()}
-        total = float(sum(utilities[i, j] for i, j in assigned.items()))
-    else:
-        assigned, bids = _forward_auction(utilities.T, epsilon, params.max_rounds)
-        assignment = {spot_ids[j]: module_ids[i] for j, i in assigned.items()}
-        total = float(sum(utilities[i, j] for j, i in assigned.items()))
-    return AuctionResult(assignment=assignment, rounds=bids, broadcast_count=bids,
+    epsilon = default_epsilon(utilities, len(spot_ids))
+    flip = len(module_ids) > len(spot_ids)
+    assigned, bids = _forward_auction(utilities.T if flip else utilities, epsilon, MAX_BIDS)
+    pairs = [(j, i) if flip else (i, j) for i, j in assigned.items()]  # (row, column)
+    assignment = {spot_ids[j]: module_ids[i] for i, j in pairs}
+    total = float(sum(utilities[i, j] for i, j in pairs))
+    return AuctionResult(assignment=assignment, broadcast_count=bids,
                          total_utility=total, epsilon=epsilon)
 
 

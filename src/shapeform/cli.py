@@ -137,7 +137,7 @@ def run(scenario_path, dmax, max_embeddings, out, events):
 def sweep(kind, points, n_spots, runs, seed, dmax, max_embeddings, out, fmt):
     """Run one experiment sweep and write a report."""
     path = _out_path(out, f"sweep_{kind}.{fmt}")
-    params = SweepParams(points=_parse_points(points) if points else None, runs=runs,
+    params = SweepParams(points=None if points is None else _parse_points(points), runs=runs,
                          seed=seed, spots=n_spots,
                          algo_params=AlgoParams(max_eviction_depth=dmax,
                                                 max_embeddings=max_embeddings))

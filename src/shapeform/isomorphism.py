@@ -14,8 +14,8 @@ committed blocks by giving their states the sentinel's value 0 in every
 table it builds.  Each configuration state ``(c, pc)`` (a module entered
 from a neighbour, or a root module) holds one int array over all target
 states: the size of the largest common rooted subtree that maps c onto
-that state's spot.  The arrays are built bottom-up from an explicit
-stack, children first; matching children to slots is a bitmask DP over
+that state's spot.  The arrays are built bottom-up from one ordered
+walk, children first; matching children to slots is a bitmask DP over
 slot positions, run for all target states in one numpy pass per child.
 The DP is exact for any degree cap, and its values are integers, so no
 tie can flip.
@@ -95,7 +95,7 @@ class TargetStates:
     def __init__(self, target: TargetConfiguration, values: Mapping[int, float]):
         self.target_adj = {s: tuple(sorted(ns)) for s, ns in target.adjacency().items()}
         # target roots visited in descending value, ties by lower spot id
-        self.spot_order = sorted(self.target_adj, key=lambda s: (-values.get(s, 0.0), s))
+        self.spot_order = sorted(self.target_adj, key=lambda s: (-values[s], s))
         self.state: dict[tuple[int, Optional[int]], int] = {}
         for u, ns in self.target_adj.items():
             for pu in (None, *ns):
@@ -148,21 +148,13 @@ class _PairSearch:
 
     def _build(self, c: int, pc: Optional[int]) -> np.ndarray:
         """Fill the table of configuration state (c, pc) and of every state
-        below it, children first, from an explicit stack."""
-        stack = [(c, pc)]
-        while stack:
-            key = stack[-1]
-            if key in self._table:
-                stack.pop()
-                continue
-            x, px = key
-            below = [(y, x) for y in self.config_adj[x] if y != px]
-            missing = [k for k in below if k not in self._table]
-            if missing:
-                stack.extend(missing)
-                continue
-            stack.pop()
-            self._table[key] = self._match(below)
+        below it, children first.  The walk down stops at states that have
+        a table, as every state below those has one too."""
+        order = [(c, pc)]  # grows while it is walked: parents before children
+        for x, px in order:
+            order += [(y, x) for y in self.config_adj[x] if y != px and (y, x) not in self._table]
+        for x, px in reversed(order):
+            self._table[(x, px)] = self._match([(y, x) for y in self.config_adj[x] if y != px])
         return self._table[(c, pc)]
 
     def _match(self, below: list[tuple[int, int]]) -> np.ndarray:

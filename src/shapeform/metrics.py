@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import NotATreeError, ScenarioIndex, TargetConfiguration
+from .model import NotATreeError, ScenarioIndex, TargetConfiguration, centroid
 
 
 class EmptyTargetError(ValueError):
@@ -59,15 +59,10 @@ def spot_values(target: TargetConfiguration) -> dict[int, float]:
 
 
 def target_center(target: TargetConfiguration) -> tuple[float, float]:
-    """Arithmetic mean of the spot positions, summed left to right (float
-    ``sum()`` rounds differently from Python 3.12 on)."""
+    """Centroid of the spot positions."""
     if not target.spots:
         raise EmptyTargetError("cannot compute the center of an empty target")
-    x = y = 0.0
-    for s in target.spots:
-        x += s.pose.x
-        y += s.pose.y
-    return x / len(target.spots), y / len(target.spots)
+    return centroid([s.pose for s in target.spots])
 
 
 CONFIGURATION = "configuration"

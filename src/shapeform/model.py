@@ -134,15 +134,20 @@ def normalize_edge(a: int, b: int) -> tuple[int, int]:
     return (a, b) if a <= b else (b, a)
 
 
+def centroid(poses: Sequence[Pose]) -> tuple[float, float]:
+    """Arithmetic mean of the positions, summed left to right (float
+    ``sum()`` rounds differently from Python 3.12 on)."""
+    x = y = 0.0
+    for pose in poses:
+        x += pose.x
+        y += pose.y
+    return x / len(poses), y / len(poses)
+
+
 def choose_leader(members: Sequence[Module]) -> int:
     """Leader = member closest to the centroid of the member positions,
-    ties broken by lowest module id.  The centroid is summed left to right,
-    as ``metrics.target_center`` is."""
-    cx = cy = 0.0
-    for m in members:
-        cx += m.pose.x
-        cy += m.pose.y
-    cx, cy = cx / len(members), cy / len(members)
+    ties broken by lowest module id."""
+    cx, cy = centroid([m.pose for m in members])
     return min(members, key=lambda m: (math.hypot(m.pose.x - cx, m.pose.y - cy), m.id)).id
 
 

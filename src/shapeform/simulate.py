@@ -2,9 +2,10 @@
 
 Every module first broadcasts its pose; entities then take turns in
 order of distance from the target center (configurations measured at
-their leader).  Since each decision depends only on broadcast state, the
-sequential schedule reproduces the decentralized behavior exactly and
-two runs of one scenario produce identical event logs.
+their leader).  The turn order is fixed, so two runs of one scenario
+produce identical event logs.  Not every decision reads broadcast state
+alone: an eviction contest reads the holder's best alternative spot,
+which no broadcast carries.
 """
 
 from __future__ import annotations

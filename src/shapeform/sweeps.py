@@ -21,7 +21,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .auction import AuctionParams, auction_assign, singleton_utility_matrix
+from .auction import auction_assign, singleton_utility_matrix
 from .generate import (GenParams, UnplaceableConfigurationError, generate_scenario,
                        random_tree_configuration)
 from .isomorphism import TargetStates, best_embeddings
@@ -134,7 +134,7 @@ def _measure_auction(n: int, seed: int, params: SweepParams) -> dict:
     values = spot_values(scenario.target)
     started = time.perf_counter()
     module_ids, spot_ids, matrix = singleton_utility_matrix(index, values)
-    auction = auction_assign(module_ids, spot_ids, matrix, AuctionParams())
+    auction = auction_assign(module_ids, spot_ids, matrix)
     auction_time = time.perf_counter() - started
     return {"planner_time_s": result.metrics.planning_wall_time,
             "planner_distance_units": _distance(index, result.allocation),
@@ -178,9 +178,12 @@ SWEEP_KINDS = tuple(_KINDS)
 
 
 def _check_points(kind: str, points: tuple[int, ...], params: SweepParams) -> None:
-    """Raise ``ScenarioError`` for a sweep no run could serve: fewer than one
-    run, a module count below 1, a block size below 2, a ``table1`` block
-    larger than the target, or an ``mcs_time`` target without spots."""
+    """Raise ``ScenarioError`` for a sweep no run could serve: no points,
+    fewer than one run, a module count below 1, a block size below 2, a
+    ``table1`` block larger than the target, or an ``mcs_time`` target
+    without spots."""
+    if not points:
+        raise ScenarioError(f"{kind} sweep has no points")
     if params.runs < 1:
         raise ScenarioError(f"runs must be at least 1, not {params.runs}")
     if kind == "mcs_time" and params.spots < 1:

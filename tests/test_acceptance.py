@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from shapeform.auction import AuctionParams, auction_assign, optimal_assignment, \
-    singleton_utility_matrix
+from shapeform.auction import auction_assign, optimal_assignment, singleton_utility_matrix
 from shapeform.generate import GenParams, generate_scenario
 from shapeform.isomorphism import FULL, TargetStates, best_embeddings
 from shapeform.metrics import spot_values
@@ -189,7 +188,7 @@ def test_planner_beats_auction_on_messages():
             scenario, module_ids, spot_ids, matrix = _singleton_instance(
                 n, seed=6000 + 131 * n + seed)
             result = run_planning(scenario)
-            auction = auction_assign(module_ids, spot_ids, matrix, AuctionParams())
+            auction = auction_assign(module_ids, spot_ids, matrix)
             planner_counts.append(result.metrics.broadcast_count)
             auction_counts.append(auction.broadcast_count)
         planner_median = statistics.median(planner_counts)

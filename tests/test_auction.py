@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from shapeform.auction import (
-    AuctionParams,
     NonTerminationError,
     TooManyBiddersError,
     _forward_auction,
@@ -32,7 +31,7 @@ utility_matrices = arrays(
 def test_single_module_single_spot():
     result = auction_assign([7], [3], np.array([[2.5]]))
     assert result.assignment == {3: 7}
-    assert result.rounds == 1
+    assert result.broadcast_count == 1
     assert result.total_utility == pytest.approx(2.5)
 
 
@@ -76,12 +75,7 @@ def test_more_modules_than_spots_covers_every_spot():
 def test_round_budget_guard():
     matrix = np.array([[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(NonTerminationError):
-        auction_assign([0, 1], [0, 1], matrix, AuctionParams(epsilon=1e-9, max_rounds=1))
-
-
-def test_epsilon_must_be_positive():
-    with pytest.raises(ValueError):
-        auction_assign([0], [0], np.array([[1.0]]), AuctionParams(epsilon=0.0))
+        _forward_auction(matrix, 1e-9, 1)
 
 
 def test_default_epsilon_scales_with_range():
@@ -136,3 +130,10 @@ def test_import_does_not_load_scipy_optimize():
     subprocess.run([sys.executable, "-c",
                     "import sys, shapeform; assert 'scipy.optimize' not in sys.modules"],
                    env=env, check=True)
+
+
+def test_every_export_resolves():
+    import shapeform
+
+    missing = [name for name in shapeform.__all__ if not hasattr(shapeform, name)]
+    assert missing == []

@@ -163,6 +163,8 @@ def test_sweep_rejects_invalid_bounds_up_front(tmp_path, option, value, name):
     (["table1", "--points", "20", "--spots", "10", "--runs", "1"], "config_size 20"),
     (["mcs_time", "--points", "1", "--runs", "1"], "config_size 1"),
     (["scaling", "--points", "5", "--runs", "0"], "runs"),
+    (["scaling", "--points", ",", "--runs", "1"], "no points"),
+    (["scaling", "--points", "", "--runs", "1"], "no points"),
 ])
 def test_sweep_rejects_unrunnable_points_up_front(tmp_path, args, name):
     """A sweep that no run could serve fails once and writes no report."""

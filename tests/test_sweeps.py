@@ -80,6 +80,7 @@ def test_failures_recorded_not_dropped(unplaceable_runs):
     ("scaling", SweepParams(points=(5,), runs=0), "runs"),
     ("scaling", SweepParams(points=(0,), runs=1), "n_modules 0"),
     ("auction_compare", SweepParams(points=(0,), runs=1), "n_modules 0"),
+    ("scaling", SweepParams(points=(), runs=1), "no points"),
 ])
 def test_unrunnable_sweeps_fail_up_front(kind, params, name):
     with pytest.raises(ScenarioError, match=name):
