@@ -20,14 +20,13 @@ is the same with or without the bound.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
 from .isomorphism import MCS, Embedding, TargetStates, best_embeddings, order_embeddings
 from .metrics import target_center
-from .model import ScenarioIndex
+from .model import Pose, ScenarioIndex, planar_distance
 from .utility import module_spot_cost, preserved_links, utility_row
 
 SINGLETON = "singleton"
@@ -315,10 +314,9 @@ def _disconnect(module_id: int, config_id: int, remaining: set[int],
 
 
 def _center_distance_order(module_ids, ctx: PlanContext) -> list[int]:
-    cx, cy = ctx.center
+    center = Pose(*ctx.center)
     return sorted(module_ids,
-                  key=lambda m: (math.hypot(ctx.index.module_by_id[m].pose.x - cx,
-                                            ctx.index.module_by_id[m].pose.y - cy), m))
+                  key=lambda m: (planar_distance(ctx.index.module_by_id[m].pose, center), m))
 
 
 def block_allocation(config_id: int, state: AllocationState, ctx: PlanContext) -> None:

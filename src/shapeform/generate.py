@@ -123,8 +123,6 @@ def _partition_sizes(total: int, params: GenParams, rng: random.Random) -> list[
     if params.singletons_only:
         return [1] * total
     lo, hi = params.config_size_range
-    if lo < 2:
-        raise ScenarioError("config sizes must be at least 2")
     sizes = []
     remaining = total
     while remaining > 0:
@@ -279,7 +277,8 @@ def generate_scenario(params: GenParams) -> Scenario:
 
     Raises ``ScenarioError`` before any draw when the sizes cannot give the
     scenario asked for: no spot, an equal configuration size below 2 or
-    above the spot or module count, or an equal size with ``singletons_only``.
+    above the spot or module count, an equal size with ``singletons_only``,
+    or a configuration size range that is empty or starts below 2.
     """
     if params.n_spots < 1:
         raise ScenarioError("n_spots must be >= 1")
@@ -292,6 +291,11 @@ def generate_scenario(params: GenParams) -> Scenario:
                                 f"{params.n_spots} or the module count {params.module_count()}")
         if params.singletons_only:
             raise ScenarioError("an equal config size cannot be combined with singletons only")
+    elif not params.singletons_only:
+        lo, hi = params.config_size_range
+        if not 2 <= lo <= hi:
+            raise ScenarioError("config sizes must be at least 2, in a non-empty range, "
+                                f"not ({lo}, {hi})")
     rng = random.Random(params.seed)
     build = _generate_random if k is None else _generate_equal_sized
     modules, configurations, target = build(params, rng)

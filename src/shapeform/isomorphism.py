@@ -32,6 +32,7 @@ and for a full embedding that is the smallest module's alone.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Mapping, Optional
@@ -288,8 +289,9 @@ def best_embeddings(config: Configuration, states: TargetStates, max_embeddings:
     if len(held) >= len(states.target_adj):
         return []
     search = _PairSearch(config, states, held)
-    return (search.collect(len(config.member_ids), FULL, max_embeddings)
-            or search.collect(search.max_common_size(), MCS, max_embeddings))
+    cap = min(max_embeddings, sys.maxsize)  # no list holds more
+    return (search.collect(len(config.member_ids), FULL, cap)
+            or search.collect(search.max_common_size(), MCS, cap))
 
 
 def order_embeddings(embeddings: list[Embedding], values: Mapping[int, float],

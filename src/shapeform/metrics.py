@@ -10,10 +10,10 @@ walk of the tree gives it for every spot in closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .model import NotATreeError, ScenarioIndex, TargetConfiguration, centroid
+from .model import (NotATreeError, Pose, ScenarioIndex, TargetConfiguration, breadth_first,
+                    centroid, planar_distance)
 
 
 class EmptyTargetError(ValueError):
@@ -28,25 +28,21 @@ def spot_values(target: TargetConfiguration) -> dict[int, float]:
     both lie in one branch, so v's value is
     ``(C(n-1, 2) - sum C(s_i, 2)) / C(n-1, 2)``, or 0 when n <= 2.  The
     branch sizes come from one walk from the lowest id.  Raises
-    ``NotATreeError`` for a target with a cycle or more than one component.
+    ``NotATreeError`` for a target with more than one component, a cycle
+    or a neighbor entry that the other spot does not return.
     """
     if not target.spots:
         raise EmptyTargetError("cannot value spots of an empty target")
     adj = target.adjacency()
     n = len(adj)
-    root = min(adj)
-    parent: dict[int, int | None] = {root: None}
-    order = [root]  # grows while it is walked: parents before children
-    for v in order:
-        for w in adj[v]:
-            if w == parent[v]:
-                continue
-            if w in parent:
-                raise NotATreeError(f"target: cycle through spots {v} and {w}")
-            parent[w] = v
-            order.append(w)
+    parent = breadth_first(adj, min(adj))
+    order = list(parent)  # parents before children
     if len(order) != n:
         raise NotATreeError(f"target: not connected ({len(order)}/{n} reachable)")
+    # the walk used n - 1 entries down and needs n - 1 back up: no others
+    if (sum(map(len, adj.values())) != 2 * (n - 1)
+            or any(parent[v] not in adj[v] for v in order[1:])):
+        raise NotATreeError("target: a cycle or a one-way neighbor entry")
     size = dict.fromkeys(order, 1)
     for v in reversed(order[1:]):
         size[parent[v]] += size[v]
@@ -82,15 +78,13 @@ def rank_entities(index: ScenarioIndex, center: tuple[float, float]) -> list[Ran
     A configuration's distance is measured from its leader.  Exact ties put
     configurations before singletons, then lower ids first.
     """
-    cx, cy = center
+    origin = Pose(*center)
     entities = []
     for cid in sorted(index.config_by_id):
         leader = index.module_by_id[index.config_by_id[cid].leader_id]
-        d = math.hypot(leader.pose.x - cx, leader.pose.y - cy)
-        entities.append(RankedEntity(CONFIGURATION, cid, d))
+        entities.append(RankedEntity(CONFIGURATION, cid, planar_distance(leader.pose, origin)))
     for mid in index.singleton_ids:
         pose = index.module_by_id[mid].pose
-        d = math.hypot(pose.x - cx, pose.y - cy)
-        entities.append(RankedEntity(SINGLETON, mid, d))
+        entities.append(RankedEntity(SINGLETON, mid, planar_distance(pose, origin)))
     entities.sort(key=lambda e: (e.distance, 0 if e.kind == CONFIGURATION else 1, e.entity_id))
     return entities

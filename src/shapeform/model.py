@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -147,8 +146,8 @@ def centroid(poses: Sequence[Pose]) -> tuple[float, float]:
 def choose_leader(members: Sequence[Module]) -> int:
     """Leader = member closest to the centroid of the member positions,
     ties broken by lowest module id."""
-    cx, cy = centroid([m.pose for m in members])
-    return min(members, key=lambda m: (math.hypot(m.pose.x - cx, m.pose.y - cy), m.id)).id
+    center = Pose(*centroid([m.pose for m in members]))
+    return min(members, key=lambda m: (planar_distance(m.pose, center), m.id)).id
 
 
 def _check_pose(pose: Pose, what: str) -> None:
@@ -158,11 +157,23 @@ def _check_pose(pose: Pose, what: str) -> None:
         raise ScenarioError(f"{what}: theta must lie in [0, pi], got {pose.theta}")
 
 
+def breadth_first(adj: Mapping[int, Iterable[int]], root: int) -> dict[int, Optional[int]]:
+    """The parent of every node reachable from ``root`` (``None`` for the
+    root), in breadth-first order, so parents come before their children."""
+    parent: dict[int, Optional[int]] = {root: None}
+    order = [root]  # grows while it is walked
+    for v in order:
+        for w in adj[v]:
+            if w not in parent:
+                parent[w] = v
+                order.append(w)
+    return parent
+
+
 def _check_tree(node_ids: Sequence[int], edges: Iterable[tuple[int, int]],
                 what: str, max_degree: int) -> None:
     nodes = set(node_ids)
     edge_set = set()
-    degree = {n: 0 for n in nodes}
     adj: dict[int, list[int]] = {n: [] for n in nodes}
     for a, b in edges:
         if a == b:
@@ -173,28 +184,17 @@ def _check_tree(node_ids: Sequence[int], edges: Iterable[tuple[int, int]],
         if e in edge_set:
             raise NotATreeError(f"{what}: duplicate edge {e}")
         edge_set.add(e)
-        degree[a] += 1
-        degree[b] += 1
         adj[a].append(b)
         adj[b].append(a)
-    for n, d in degree.items():
-        if d > max_degree:
-            raise DegreeExceededError(f"{what}: node {n} has degree {d} > {max_degree}")
+    for n, ns in adj.items():
+        if len(ns) > max_degree:
+            raise DegreeExceededError(f"{what}: node {n} has degree {len(ns)} > {max_degree}")
     if len(edge_set) != len(nodes) - 1:
         raise NotATreeError(
             f"{what}: {len(edge_set)} edges for {len(nodes)} nodes (tree needs n-1)")
-    if nodes:
-        start = next(iter(nodes))
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
-        if len(seen) != len(nodes):
-            raise NotATreeError(f"{what}: not connected ({len(seen)}/{len(nodes)} reachable)")
+    reached = len(breadth_first(adj, min(nodes)))
+    if reached != len(nodes):
+        raise NotATreeError(f"{what}: not connected ({reached}/{len(nodes)} reachable)")
 
 
 def validate_algo_params(ap: AlgoParams) -> AlgoParams:
@@ -268,6 +268,9 @@ def validate_scenario(scenario: Scenario) -> Scenario:
         if m.config_id is not None and m.config_id not in config_by_id:
             raise DanglingReferenceError(
                 f"module {m.id} references unknown configuration {m.config_id}")
+        if claimed.get(m.id) != m.config_id:
+            raise DanglingReferenceError(f"module {m.id} carries config_id {m.config_id} "
+                                         f"but configuration {m.config_id} does not list it")
 
     spot_ids = set()
     for s in scenario.target.spots:

@@ -66,7 +66,10 @@ def _int(value: Any, ctx: str) -> int:
 def _num(value: Any, ctx: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{ctx}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParseError(f"{ctx}: number too large for a float") from None
 
 
 def _params(cls: type, doc: Mapping[str, Any], key: str) -> Any:
@@ -190,6 +193,8 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer past Python's int-string digit limit
+        raise ParseError(f"{path}: a number is too long: {exc}") from exc
 
 
 def load_scenario(path: str | Path) -> Scenario:

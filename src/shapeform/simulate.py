@@ -25,7 +25,7 @@ from .allocation import (
     spot_allocation,
 )
 from .metrics import CONFIGURATION, rank_entities, spot_values
-from .model import Scenario, ScenarioIndex, planar_distance
+from .model import Scenario, ScenarioIndex, breadth_first, planar_distance
 from .utility import retention_reward
 
 
@@ -72,17 +72,10 @@ def _spot_schedule(index: ScenarioIndex, values: Mapping[int, float]) -> tuple[i
     """Center-out occupation order: highest-value spot first, then breadth-
     first layers outward; within a layer higher value first, then lower id."""
     first = min(values, key=lambda s: (-values[s], s))
-    schedule = [first]
-    seen = {first}
-    frontier = [first]
-    while frontier:
-        layer = sorted({n for spot in frontier for n in index.spot_neighbors[spot]
-                        if n not in seen},
-                       key=lambda s: (-values[s], s))
-        seen.update(layer)
-        schedule.extend(layer)
-        frontier = layer
-    return tuple(schedule)
+    depth: dict[int, int] = {}
+    for spot, parent in breadth_first(index.spot_neighbors, first).items():
+        depth[spot] = 0 if parent is None else depth[parent] + 1
+    return tuple(sorted(depth, key=lambda s: (depth[s], -values[s], s)))
 
 
 def run_planning(scenario: Scenario) -> PlanResult:

@@ -47,8 +47,8 @@ MUTANTS = (
      "",
      "a walk that meets a blocker again goes round the cycle to the depth bound",
      "tests/test_allocation.py::test_a_walk_stops_at_a_blocker_it_has_passed"),
-    ("src/shapeform/allocation.py", "ctx.index.module_by_id[m].pose.y - cy), m))",
-     "ctx.index.module_by_id[m].pose.y - cy), -m))",
+    ("src/shapeform/allocation.py", "ctx.index.module_by_id[m].pose, center), m))",
+     "ctx.index.module_by_id[m].pose, center), -m))",
      "members at equal distance from the center scatter higher id first",
      "tests/test_allocation.py::test_scattered_members_at_equal_distance_go_in_id_order"),
     ("src/shapeform/allocation.py", "for module_id, _ in reversed(chain)]",
@@ -73,6 +73,17 @@ MUTANTS = (
      "sorted(table, key=lambda s: (-table[s], -s))",
      "ties in a module's fixed order go to the higher spot id",
      "tests/test_allocation.py::test_best_spot_ties_go_to_lower_id_in_seeded_tables"),
+    ("src/shapeform/model.py",
+     "        if claimed.get(m.id) != m.config_id:\n"
+     "            raise DanglingReferenceError(f\"module {m.id} carries config_id {m.config_id} \"\n"
+     "                                         f\"but configuration {m.config_id} does not list "
+     "it\")\n",
+     "",
+     "a module that names a configuration not listing it is never planned",
+     "tests/test_model.py::test_single_fault_raises_its_named_error"),
+    ("src/shapeform/simulate.py", "(depth[s], -values[s], s)", "(depth[s], values[s], s)",
+     "the acting schedule takes a layer's lower-value spots first",
+     "tests/test_simulate.py::test_spot_schedule_matches_the_layered_reference"),
     ("src/shapeform/generate.py", "if c != cell and degree[p] < max_degree]",
      "if c != cell]",
      "grown trees keep attaching to nodes that reached the degree cap",

@@ -4,7 +4,7 @@ Everything here recomputes results from first principles (path
 enumeration, exhaustive injective maps, permutation search, a literal
 transcription of the selection rules, the memoized recursion the
 embedding table replaced, the grid-tree growth that rebuilt its candidates
-for every node) and shares no code with the engine's own
+for every node, the layer-by-layer acting schedule) and shares no code with the engine's own
 algorithms.
 """
 
@@ -58,6 +58,23 @@ def brute_spot_values(adj: dict[int, set[int]]) -> dict[int, float]:
             through += sum(1 for p in paths if v in p[1:-1])
         values[v] = through / total if total else 0.0
     return values
+
+
+def reference_spot_schedule(index, values) -> tuple[int, ...]:
+    """Center-out occupation order: highest-value spot first, then breadth-
+    first layers outward; within a layer higher value first, then lower id."""
+    first = min(values, key=lambda s: (-values[s], s))
+    schedule = [first]
+    seen = {first}
+    frontier = [first]
+    while frontier:
+        layer = sorted({n for spot in frontier for n in index.spot_neighbors[spot]
+                        if n not in seen},
+                       key=lambda s: (-values[s], s))
+        seen.update(layer)
+        schedule.extend(layer)
+        frontier = layer
+    return tuple(schedule)
 
 
 def is_edge_preserving(mapping: dict[int, int], config_adj: dict[int, set[int]],

@@ -110,6 +110,21 @@ def test_run_rejects_positions_whose_totals_overflow(tmp_path):
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("digits, name", [(401, "modules[0].x"), (5001, "huge.json")])
+def test_run_rejects_a_number_too_large(tmp_path, digits, name):
+    scenario_path = tmp_path / "huge.json"
+    CliRunner().invoke(main, ["generate", "--spots", "5", "--seed", "1",
+                              "--out", str(scenario_path)])
+    doc = json.loads(scenario_path.read_text())
+    doc["modules"][0]["x"] = "HUGE"
+    scenario_path.write_text(json.dumps(doc).replace('"HUGE"', "9" * digits))
+    result = CliRunner().invoke(main, ["run", str(scenario_path),
+                                       "--out", str(tmp_path / "r.json")])
+    assert_input_error(result, name)
+    assert "Traceback" not in result.output and "9" * 100 not in result.output
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_run_rejects_a_file_with_an_unknown_field(tmp_path):
     runner = CliRunner()
     scenario_path = tmp_path / "scenario.json"

@@ -120,6 +120,14 @@ def test_config_size_range_below_two_rejected():
         generate_scenario(GenParams(n_spots=20, config_size_range=(1, 5)))
 
 
+def test_empty_config_size_range_rejected():
+    with pytest.raises(ScenarioError, match=r"non-empty range, not \(5, 3\)"):
+        generate_scenario(GenParams(n_spots=20, config_size_range=(5, 3)))
+    # the range is not used when every module is a singleton
+    assert generate_scenario(GenParams(n_spots=5, config_size_range=(5, 3),
+                                       singletons_only=True)).configurations == ()
+
+
 def test_random_tree_configuration_helper():
     config = random_tree_configuration(6, seed=4)
     assert len(config.member_ids) == 6

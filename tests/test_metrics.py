@@ -18,6 +18,7 @@ from shapeform.model import (
     Pose,
     Scenario,
     ScenarioIndex,
+    Spot,
     TargetConfiguration,
     validate_scenario,
 )
@@ -79,6 +80,17 @@ def test_value_bounds_and_leaf_zero(tree):
 def test_values_reject_cycle():
     with pytest.raises(NotATreeError, match="cycle"):
         spot_values(target_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+
+
+@pytest.mark.parametrize("links", [{0: {1}, 1: set()},
+                                   {0: {1, 2}, 1: {2}, 2: {0}}],
+                         ids=["one-way entry", "one-way cycle"])
+def test_values_reject_one_way_neighbor_lists(links):
+    """An unvalidated target whose lists are not symmetric is no tree, even
+    where the entries number 2(n - 1)."""
+    spots = tuple(Spot(i, Pose(float(i), 0.0), frozenset(ns)) for i, ns in links.items())
+    with pytest.raises(NotATreeError, match="one-way"):
+        spot_values(TargetConfiguration(spots=spots))
 
 
 def test_values_reject_disconnected_target():

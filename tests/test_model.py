@@ -20,6 +20,7 @@ from shapeform.model import (
     ScenarioIndex,
     Spot,
     TargetConfiguration,
+    breadth_first,
     choose_leader,
     planar_distance,
     validate_scenario,
@@ -101,6 +102,8 @@ SINGLE_FAULTS = [
      DanglingReferenceError, "carries config_id None"),
     ("unknown configuration", _replace("modules", 2, config_id=7),
      DanglingReferenceError, "unknown configuration 7"),
+    ("module its configuration does not list", _replace("modules", 2, config_id=0),
+     DanglingReferenceError, "configuration 0 does not list it"),
     ("negative spot id", _replace("spots", 3, id=-1),
      ScenarioError, "spot id must be non-negative"),
     ("duplicate spot id", _replace("spots", 3, id=2), DuplicateIdError, "duplicate spot id 2"),
@@ -109,6 +112,24 @@ SINGLE_FAULTS = [
     ("unknown neighbour", _replace("spots", 3, neighbor_ids=frozenset({2, 9})),
      DanglingReferenceError, "unknown neighbor 9"),
 ]
+
+
+def test_breadth_first_gives_parents_before_children():
+    adj = {0: [1, 2], 1: [0, 3], 2: [0], 3: [1], 4: []}
+    parent = breadth_first(adj, 0)
+    assert parent == {0: None, 1: 0, 2: 0, 3: 1}
+    assert list(parent) == [0, 1, 2, 3]
+    assert breadth_first(adj, 4) == {4: None}
+
+
+def test_not_connected_counts_from_the_lowest_id():
+    """Spot 0 alone and a triangle on 1, 2 and 3: three edges for four
+    spots, and the walk from the lowest id reaches one of them."""
+    links = {0: set(), 1: {2, 3}, 2: {1, 3}, 3: {1, 2}}
+    spots = tuple(Spot(i, Pose(float(i), 0.0), frozenset(links[i])) for i in range(4))
+    scenario = make_scenario([Module(0, Pose(0.0, 0.0))], target=TargetConfiguration(spots))
+    with pytest.raises(NotATreeError, match=r"not connected \(1/4 reachable\)"):
+        validate_scenario(scenario)
 
 
 def test_single_fault_base_is_valid():

@@ -67,6 +67,23 @@ def test_invalid_json_reports_line(tmp_path):
         load_scenario(path)
 
 
+def test_number_too_large_for_a_float_rejected():
+    doc = scenario_to_dict(generate_scenario(GenParams(n_spots=3, seed=0)))
+    doc["modules"][0]["x"] = 10 ** 400
+    with pytest.raises(ParseError, match=r"modules\[0\]\.x: number too large") as info:
+        scenario_from_dict(doc)
+    assert "0" * 100 not in str(info.value)
+
+
+def test_integer_past_the_digit_limit_rejected(tmp_path):
+    doc = scenario_to_dict(generate_scenario(GenParams(n_spots=3, seed=0)))
+    doc["modules"][0]["x"] = "HUGE"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 5000))
+    with pytest.raises(ParseError):
+        load_scenario(path)
+
+
 def test_missing_required_field():
     with pytest.raises(ParseError, match="seed"):
         scenario_from_dict({"modules": [], "configurations": [], "target": {"spots": []}})

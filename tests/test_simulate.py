@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from shapeform.allocation import (
 from shapeform.generate import GenParams, generate_scenario
 from shapeform.metrics import spot_values
 from shapeform.model import (
+    AlgoParams,
     Configuration,
     Module,
     Pose,
@@ -23,18 +26,23 @@ from shapeform.model import (
 )
 from shapeform.simulate import (
     HoleDetectedError,
+    _spot_schedule,
     run_planning,
     run_scenario,
     simulate_acting,
 )
 
 from conftest import (
+    adjacency,
     config_from_edges,
     path_target,
+    random_trees,
     singleton_scenario,
     singleton_scenarios,
     star_target,
+    target_from_edges,
 )
+from oracles import reference_spot_schedule
 
 
 def test_minimal_one_module_one_spot():
@@ -167,6 +175,29 @@ def test_schedule_neighbor_precedes_property(scenario):
     for spot in schedule[1:]:
         assert index.spot_neighbors[spot] & placed
         placed.add(spot)
+
+
+@given(random_trees(max_nodes=14), st.data())
+def test_spot_schedule_matches_the_layered_reference(tree, data):
+    """Spot values, or drawn values with many ties, against the layer-by-
+    layer walk that the single breadth-first walk replaced."""
+    n, edges = tree
+    if data.draw(st.booleans()):
+        values = spot_values(target_from_edges(n, edges))
+    else:
+        values = dict(enumerate(data.draw(
+            st.lists(st.sampled_from([0.0, 0.25, 0.5]), min_size=n, max_size=n))))
+    index = SimpleNamespace(spot_neighbors=adjacency(n, edges))
+    assert _spot_schedule(index, values) == reference_spot_schedule(index, values)
+
+
+def test_embedding_cap_past_sys_maxsize_plans_as_an_unbounded_cap():
+    plans = [run_scenario(generate_scenario(GenParams(
+        n_spots=20, seed=1, algo_params=AlgoParams(max_embeddings=cap))))
+        for cap in (2 ** 62, 2 ** 64)]
+    assert plans[0].scenario.configurations
+    assert plans[0].event_log == plans[1].event_log
+    assert plans[0].allocation == plans[1].allocation
 
 
 def test_acting_requires_complete_allocation():
