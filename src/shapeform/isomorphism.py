@@ -20,14 +20,15 @@ slot positions, run for all target states in one numpy pass per child.
 The DP is exact for any degree cap, and its values are integers, so no
 tie can flip.
 
-The enumerator asks each state for its table value.  The placed
-children's shares must then sum to that value minus one, the maximum of
-their table values over slot assignments, so each takes exactly its
-table value.  Search starts from target spots in descending value order
-and stops once the embedding cap is hit.  The walk from root module m
-never enters a smaller id, so it stays in m's piece, the modules reachable
-from m through larger ids; only a piece of the wanted size roots a search,
-and for a full embedding that is the smallest module's alone.
+The enumerator walks the same state numbers and reads each state's
+value from its table.  The placed children's shares must then sum to that
+value minus one, the maximum of their values at the state's ``slots`` row
+over slot assignments, so each takes exactly its table value.  Search
+starts from target spots in descending value order and stops once the
+embedding cap is hit.  The walk from root module m never enters a smaller
+id, so it stays in m's piece, the modules reachable from m through larger
+ids; only a piece of the wanted size roots a search, and for a full
+embedding that is the smallest module's alone.
 """
 
 from __future__ import annotations
@@ -87,16 +88,14 @@ class TargetStates:
     every search into it.
 
     A target state is a spot entered from a neighbour, ``(u, pu)``, or a
-    spot taken as root, ``(u, None)``; every state has a number, and row i
-    of ``slots`` lists the states of i's children (its other neighbours,
+    spot taken as root, ``(u, None)``; ``state`` numbers every one, and row
+    t of ``slots`` lists the states of t's children (its other neighbours,
     entered from it), padded with a sentinel state whose value is 0.
-    ``spot`` maps each state to its spot (-1 for the sentinel).
+    ``spot[t]`` is t's spot (-1 for the sentinel).
     """
 
     def __init__(self, target: TargetConfiguration, values: Mapping[int, float]):
         self.target_adj = {s: tuple(sorted(ns)) for s, ns in target.adjacency().items()}
-        # target roots visited in descending value, ties by lower spot id
-        self.spot_order = sorted(self.target_adj, key=lambda s: (-values[s], s))
         self.state: dict[tuple[int, Optional[int]], int] = {}
         for u, ns in self.target_adj.items():
             for pu in (None, *ns):
@@ -108,7 +107,10 @@ class TargetStates:
         rows.append([])
         self.slots = np.array([row + [self.sentinel] * (self.width - len(row))
                                for row in rows], dtype=np.intp)
-        self.spot = np.array([u for u, _ in self.state] + [-1], dtype=np.intp)
+        self.spot = [u for u, _ in self.state] + [-1]
+        # root states in descending spot value, ties by lower spot id
+        self.root_states = [self.state[(u, None)] for u in
+                            sorted(self.target_adj, key=lambda s: (-values[s], s))]
         # views of a (2,) * width mask array: masks with and without slot j
         self.with_without = [((slice(None),) * j + (1,), (slice(None),) * j + (0,))
                              for j in range(self.width)]
@@ -129,9 +131,9 @@ class _PairSearch:
         self.config_adj = {m: tuple(sorted(ns)) for m, ns in config.adjacency().items()}
         self.module_order = sorted(config.member_ids)
         self.states = states
-        self._state = states.state
         self._slots = states.slots
-        self._zero = np.flatnonzero(np.isin(states.spot, [*held, -1]))
+        self._spot = states.spot
+        self._zero = np.flatnonzero(np.isin(self._spot, [*held, -1]))
         # piece[m]: modules reachable from m through larger ids, m included;
         # in descending order each module absorbs its larger neighbours' pieces
         self.piece: dict[int, int] = {}
@@ -147,15 +149,18 @@ class _PairSearch:
         # configuration state (c, pc) -> best size at every target state
         self._table: dict[tuple[int, Optional[int]], np.ndarray] = {}
 
-    def _build(self, c: int, pc: Optional[int]) -> np.ndarray:
-        """Fill the table of configuration state (c, pc) and of every state
-        below it, children first.  The walk down stops at states that have
-        a table, as every state below those has one too."""
-        order = [(c, pc)]  # grows while it is walked: parents before children
-        for x, px in order:
-            order += [(y, x) for y in self.config_adj[x] if y != px and (y, x) not in self._table]
-        for x, px in reversed(order):
-            self._table[(x, px)] = self._match([(y, x) for y in self.config_adj[x] if y != px])
+    def table(self, c: int, pc: Optional[int]) -> np.ndarray:
+        """Max size of a common rooted subtree mapping c, entered from pc, at
+        every target state.  A missing table is filled with every missing one
+        below it, children first; the walk down stops at states that have a
+        table, as every state below those has one too."""
+        if (c, pc) not in self._table:
+            order = [(c, pc)]  # grows while it is walked: parents before children
+            for x, px in order:
+                order += [(y, x) for y in self.config_adj[x]
+                          if y != px and (y, x) not in self._table]
+            for x, px in reversed(order):
+                self._table[(x, px)] = self._match([(y, x) for y in self.config_adj[x] if y != px])
         return self._table[(c, pc)]
 
     def _match(self, below: list[tuple[int, int]]) -> np.ndarray:
@@ -177,26 +182,18 @@ class _PairSearch:
         table[self._zero] = 0  # held spots and the sentinel
         return table
 
-    def best(self, c: int, pc: Optional[int], u: int, pu: Optional[int]) -> int:
-        """Max size of a common rooted subtree mapping c -> u, entered from
-        (pc, pu)."""
-        table = self._table.get((c, pc))
-        if table is None:
-            table = self._build(c, pc)
-        return int(table[self._state[(u, pu)]])
-
-    def enumerate(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
+    def enumerate(self, c: int, pc: Optional[int], t: int,
                   floor: int, cap: int) -> list[dict[int, int]]:
-        """Up to ``cap`` mappings of ``best(c, pc, u, pu)`` modules rooted at
-        c -> u, in canonical order (skip branch first, then slots ascending);
-        a capped list is a prefix of the uncapped one.
+        """Up to ``cap`` mappings of ``table(c, pc)[t]`` modules rooted at c
+        -> state t's spot, in canonical order (skip branch first, then slots
+        ascending); a capped list is a prefix of the uncapped one.
 
         ``floor`` excludes modules with smaller ids (see ``collect``).  Each
         state that needs a search runs as a generator on an explicit stack
         and yields the sub-enumerations it needs, so a long chain meets no
         recursion limit.
         """
-        stack = [self._search(c, pc, u, pu, floor, cap)]
+        stack = [self._search(c, pc, t, floor, cap)]
         result = None
         while stack:
             try:
@@ -209,15 +206,15 @@ class _PairSearch:
                 result = None
         return result
 
-    def _search(self, c: int, pc: Optional[int], u: int, pu: Optional[int],
-                floor: int, cap: int):
+    def _search(self, c: int, pc: Optional[int], t: int, floor: int, cap: int):
         """Generator behind ``enumerate``: yields each sub-enumeration
         request, receives its mappings and returns this state's mappings."""
-        if (size := self.best(c, pc, u, pu)) == 1:
-            return [{c: u}]
+        spot = self._spot  # splits calls itself, a cycle that must not hold self's tables
+        if (size := int(self.table(c, pc)[t])) == 1:
+            return [{c: spot[t]}]
         children = [x for x in self.config_adj[c] if x != pc and x >= floor]
-        slots = [y for y in self.states.target_adj[u] if y != pu]
-        caps = [[self.best(ci, c, uj, u) for uj in slots] for ci in children]
+        slots = self._slots[t]
+        caps = [self.table(ci, c)[slots].tolist() for ci in children]
         suffix = [0] * (len(children) + 1)
         for i in range(len(children) - 1, -1, -1):
             suffix[i] = suffix[i + 1] + max(caps[i], default=0)
@@ -231,25 +228,26 @@ class _PairSearch:
                 return [{}] if remaining == 0 else []
             res = yield from splits(i + 1, remaining, used, limit)  # child i stays behind
             ci = children[i]
-            for j, uj in enumerate(slots):
-                rest = remaining - caps[i][j]  # a held slot is worth 0: no child goes there
-                if used & (1 << j) or not caps[i][j] or not 0 <= rest <= suffix[i + 1]:
+            for j, size_j in enumerate(caps[i]):
+                rest = remaining - size_j  # a held or padding slot is worth 0: no child goes there
+                if used & (1 << j) or not size_j or not 0 <= rest <= suffix[i + 1]:
                     continue
                 if len(res) >= limit:
                     return res
                 room = limit - len(res)
                 rests = yield from splits(i + 1, rest, used | (1 << j), room)
                 if rests:  # head-major product of child i's mappings and the rests
-                    heads = [{ci: uj}] if caps[i][j] == 1 else (yield (ci, c, uj, u, floor, room))
+                    heads = ([{ci: spot[slots[j]]}] if size_j == 1
+                             else (yield (ci, c, slots[j], floor, room)))
                     res.extend(islice(({**h, **r} for h in heads for r in rests), room))
             return res
 
-        return [{**part, c: u} for part in (yield from splits(0, size - 1, 0, cap))]
+        return [{**part, c: spot[t]} for part in (yield from splits(0, size - 1, 0, cap))]
 
     def max_common_size(self) -> int:
         """Size of the largest common subtree over every (module, spot) root;
         a spot entered from a neighbour has fewer slots, so no more value."""
-        return max(int(self._build(m, None).max()) for m in self.module_order)
+        return max(int(self.table(m, None).max()) for m in self.module_order)
 
     def collect(self, size: int, kind: str, limit: int) -> list[Embedding]:
         """Gather up to ``limit`` embeddings of the given size, stopping as
@@ -265,11 +263,11 @@ class _PairSearch:
         """
         roots = [m for m in self.module_order if self.piece[m] >= size]
         out: list[Embedding] = []
-        for u in self.states.spot_order:
+        for t in self.states.root_states:
             for m in roots:
-                if self.best(m, None, u, None) < size:
+                if self.table(m, None)[t] < size:
                     continue
-                for mapping in self.enumerate(m, None, u, None, m, limit - len(out)):
+                for mapping in self.enumerate(m, None, t, m, limit - len(out)):
                     check_embedding(mapping, self.config_adj, self.states.target_adj)
                     out.append(Embedding(mapping=mapping, kind=kind))
                 if len(out) >= limit:

@@ -245,13 +245,14 @@ def test_table_matches_recursive_reference(config_tree, target_tree):
     target = target_from_edges(tn, target_edges)
     config_adj = adjacency(cn, config_edges)
     target_adj = adjacency(tn, target_edges)
-    search = _PairSearch(config, states_for(target))
+    states = states_for(target)
+    search = _PairSearch(config, states)
     config_states = [(c, p) for c in config_adj for p in (None, *config_adj[c])]
     target_states = [(u, p) for u in target_adj for p in (None, *target_adj[u])]
     memo = {}
     for c, pc in config_states:
         for u, pu in target_states:
-            assert search.best(c, pc, u, pu) == \
+            assert search.table(c, pc)[states.state[(u, pu)]] == \
                 recursive_best(config_adj, target_adj, c, pc, u, pu, memo)
 
 
@@ -358,9 +359,9 @@ def test_walk_never_enters_a_held_spot(drawn, cap):
     entered = []
     search = _PairSearch._search
 
-    def recording(self, c, pc, u, pu, floor, cap):
-        entered.append(u)
-        return search(self, c, pc, u, pu, floor, cap)
+    def recording(self, c, pc, t, floor, cap):
+        entered.append(self.states.spot[t])
+        return search(self, c, pc, t, floor, cap)
 
     with mock.patch.object(_PairSearch, "_search", recording):
         for config in scenario.configurations:
