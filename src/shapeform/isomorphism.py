@@ -40,7 +40,7 @@ from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
-from .model import Configuration, ScenarioIndex, TargetConfiguration
+from .model import Configuration, ScenarioIndex, TargetConfiguration, check_embedding_degree
 from .utility import EmbeddingError, block_utility
 
 FULL = "full"
@@ -95,6 +95,7 @@ class TargetStates:
     """
 
     def __init__(self, target: TargetConfiguration, values: Mapping[int, float]):
+        check_embedding_degree(target)
         self.target_adj = {s: tuple(sorted(ns)) for s, ns in target.adjacency().items()}
         self.state: dict[tuple[int, Optional[int]], int] = {}
         for u, ns in self.target_adj.items():

@@ -150,6 +150,19 @@ def choose_leader(members: Sequence[Module]) -> int:
     return min(members, key=lambda m: (planar_distance(m.pose, center), m.id)).id
 
 
+EMBEDDING_DEGREE_LIMIT = 8  # the embedding table holds 2 ** degree entries per target state
+
+
+def check_embedding_degree(target: TargetConfiguration) -> None:
+    """Raise ``DegreeExceededError`` if a spot has more neighbors than the
+    embedding table admits."""
+    for s in target.spots:
+        if len(s.neighbor_ids) > EMBEDDING_DEGREE_LIMIT:
+            raise DegreeExceededError(
+                f"spot {s.id} has degree {len(s.neighbor_ids)}, above the limit of "
+                f"{EMBEDDING_DEGREE_LIMIT} for a target that configurations embed into")
+
+
 def _check_pose(pose: Pose, what: str) -> None:
     if not (math.isfinite(pose.x) and math.isfinite(pose.y)):
         raise ScenarioError(f"{what}: position must be finite, got ({pose.x}, {pose.y})")
@@ -294,6 +307,8 @@ def validate_scenario(scenario: Scenario) -> Scenario:
             if s.id < n:
                 pairs.append((s.id, n))
     _check_tree(sorted(spot_ids), pairs, "target", ap.max_degree)
+    if scenario.configurations:
+        check_embedding_degree(scenario.target)
     _check_finite_totals(scenario)
     return scenario
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Mapping, TYPE_CHECKING, get_type_hints
+from typing import Any, Mapping, Optional, TYPE_CHECKING, get_type_hints
 
 from .model import (
     AlgoParams,
@@ -61,6 +61,15 @@ def _int(value: Any, ctx: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{ctx}: expected an integer, got {value!r}")
     return value
+
+
+def _unique(items: list, ctx: str) -> frozenset:
+    """``items`` as a set; an item listed twice is a ``ParseError``."""
+    unique = frozenset(items)
+    if len(unique) != len(items):
+        repeated = next(x for i, x in enumerate(items) if x in items[:i])
+        raise ParseError(f"{ctx}: {repeated} listed twice")
+    return unique
 
 
 def _num(value: Any, ctx: str) -> float:
@@ -131,7 +140,7 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
             leader = choose_leader(present)
         configurations.append(Configuration(id=_int(entry["id"], f"{ctx}.id"),
                                             member_ids=members,
-                                            edges=frozenset(edges),
+                                            edges=_unique(edges, f"{ctx}.edges"),
                                             leader_id=leader))
 
     target_doc = _obj(doc["target"], "target")
@@ -145,8 +154,8 @@ def scenario_from_dict(doc: Mapping[str, Any]) -> Scenario:
         spots.append(Spot(id=_int(entry["id"], f"{ctx}.id"),
                           pose=Pose(_num(entry["x"], f"{ctx}.x"),
                                     _num(entry["y"], f"{ctx}.y")),
-                          neighbor_ids=frozenset(_int(n, f"{ctx}.neighbors")
-                                                 for n in neighbors)))
+                          neighbor_ids=_unique([_int(n, f"{ctx}.neighbors") for n in neighbors],
+                                               f"{ctx}.neighbors")))
 
     cost_params = _params(CostParams, doc, "cost_params")
     algo_params = _params(AlgoParams, doc, "algo_params")
@@ -186,19 +195,40 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _load_json(path: str | Path) -> Any:
-    text = Path(path).read_text()
-    if not text.strip():
-        raise ParseError(f"{path}: empty file")
+    """The JSON document in the UTF-8 file at ``path``; a file that is not
+    one is a ``ParseError`` naming it."""
     try:
-        return json.loads(text)
+        text = Path(path).read_text(encoding="utf-8")
+        if text.strip():
+            return json.loads(text)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     except ValueError as exc:  # an integer past Python's int-string digit limit
         raise ParseError(f"{path}: a number is too long: {exc}") from exc
+    raise ParseError(f"{path}: empty file")
 
 
 def load_scenario(path: str | Path) -> Scenario:
     return scenario_from_dict(_load_json(path))
+
+
+def load_expectations(path: str | Path) -> dict[str, Optional[int]]:
+    """The case expectations file: each case file name mapped to the most
+    disconnections its plan may have (``None``: no cap).  An entry holds an
+    optional non-negative ``max_disconnections`` and an optional ``note``."""
+    caps = {}
+    for name, entry in _obj(_load_json(path), str(path)).items():
+        ctx = f"{path}: {name}"
+        _fields(_obj(entry, ctx), ctx, required=(), optional=("max_disconnections", "note"))
+        cap = entry.get("max_disconnections")
+        if "max_disconnections" in entry and _int(cap, f"{ctx}.max_disconnections") < 0:
+            raise ParseError(f"{ctx}.max_disconnections: must be >= 0, got {cap}")
+        caps[name] = cap
+    return caps
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

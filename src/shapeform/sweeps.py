@@ -34,7 +34,7 @@ from .model import (
     planar_distance,
     validate_algo_params,
 )
-from .scenario_io import load_scenario
+from .scenario_io import ParseError, load_expectations, load_scenario
 from .simulate import run_planning, run_scenario
 
 
@@ -244,7 +244,7 @@ def run_cases(case_dir: str | Path, report_path: str | Path | None = None) -> Ca
     expectations_path = case_dir / "expectations.json"
     expectations = {}
     if expectations_path.exists():
-        expectations = json.loads(expectations_path.read_text())
+        expectations = load_expectations(expectations_path)
     rows = []
     all_ok = True
     skip = {expectations_path.resolve()}
@@ -254,12 +254,11 @@ def run_cases(case_dir: str | Path, report_path: str | Path | None = None) -> Ca
     for name in sorted(files | set(expectations)):
         path = case_dir / name
         if not path.exists():
-            raise FileNotFoundError(f"case file {path} is listed but missing")
-        scenario = load_scenario(path)
-        result = run_scenario(scenario)
-        expected = expectations.get(name, {})
+            raise ParseError(f"case file {path} is listed in {expectations_path.name} "
+                             "but missing")
+        result = run_scenario(load_scenario(path))
         ok = result.complete
-        max_disc = expected.get("max_disconnections")
+        max_disc = expectations.get(name)
         if max_disc is not None and result.metrics.disconnection_count > max_disc:
             ok = False
         rows.append({

@@ -91,6 +91,22 @@ def config_from_edges(members, edges, config_id=0, leader=None) -> Configuration
                          leader_id=leader)
 
 
+def star_scenario(arms: int, singletons_only: bool = False) -> Scenario:
+    """A star target of ``arms`` arms of two spots each, and as many modules
+    in the same shape 50 units away: one configuration, or singletons only.
+    ``max_degree`` is ``arms``; the scenario is returned unvalidated."""
+    angles = [2 * math.pi * k / arms for k in range(arms)]
+    cells = [(0.0, 0.0)] + [(r * math.cos(a), r * math.sin(a)) for a in angles for r in (1.0, 2.0)]
+    edges = [(0, 2 * k + 1) for k in range(arms)] + [(2 * k + 1, 2 * k + 2) for k in range(arms)]
+    config_id = None if singletons_only else 0
+    modules = tuple(Module(i, Pose(x + 50.0, y), config_id) for i, (x, y) in enumerate(cells))
+    configurations = () if singletons_only else (
+        config_from_edges(range(len(cells)), edges, leader=choose_leader(modules)),)
+    return Scenario(modules=modules, configurations=configurations,
+                    target=target_from_edges(len(cells), edges, cells),
+                    algo_params=AlgoParams(max_degree=arms))
+
+
 def singleton_scenario(positions, target, seed=0, cost_params=None,
                        algo_params=None) -> Scenario:
     """Scenario of unconnected modules at the given (x, y) positions."""

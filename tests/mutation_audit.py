@@ -81,6 +81,11 @@ MUTANTS = (
      "",
      "a module that names a configuration not listing it is never planned",
      "tests/test_model.py::test_single_fault_raises_its_named_error"),
+    ("src/shapeform/model.py",
+     "    if scenario.configurations:\n        check_embedding_degree(scenario.target)\n",
+     "",
+     "validation admits a target spot wider than the embedding table",
+     "tests/test_model.py::test_star_past_the_embedding_degree_limit_fails_validation"),
     ("src/shapeform/simulate.py", "(depth[s], -values[s], s)", "(depth[s], values[s], s)",
      "the acting schedule takes a layer's lower-value spots first",
      "tests/test_simulate.py::test_spot_schedule_matches_the_layered_reference"),

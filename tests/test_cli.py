@@ -9,10 +9,12 @@ from shapeform import cli
 from shapeform.allocation import AllocationError
 from shapeform.cli import main
 from shapeform.generate import GenParams, generate_scenario
+from shapeform.model import EMBEDDING_DEGREE_LIMIT
 from shapeform.scenario_io import save_scenario
 from shapeform.simulate import run_scenario
 from shapeform.sweeps import run_cases
 
+from conftest import path_target, singleton_scenario, star_scenario
 
 CASES = Path(__file__).resolve().parent.parent / "cases"
 
@@ -122,6 +124,28 @@ def test_run_rejects_a_number_too_large(tmp_path, digits, name):
                                        "--out", str(tmp_path / "r.json")])
     assert_input_error(result, name)
     assert "Traceback" not in result.output and "9" * 100 not in result.output
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("content, name", [
+    (b'{"modules": \xff}', "not UTF-8"),
+    (b"[" * 100_000, "nested too deeply"),
+], ids=["non-UTF-8", "deep"])
+def test_run_rejects_an_undecodable_file(tmp_path, content, name):
+    scenario_path = tmp_path / "bad.json"
+    scenario_path.write_bytes(content)
+    result = CliRunner().invoke(main, ["run", str(scenario_path),
+                                       "--out", str(tmp_path / "r.json")])
+    assert_input_error(result, name)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_run_rejects_a_star_past_the_embedding_degree_limit(tmp_path):
+    save_scenario(star_scenario(EMBEDDING_DEGREE_LIMIT + 1), tmp_path / "star.json")
+    result = CliRunner().invoke(main, ["run", str(tmp_path / "star.json"),
+                                       "--out", str(tmp_path / "r.json")])
+    assert_input_error(result, f"spot 0 has degree {EMBEDDING_DEGREE_LIMIT + 1}")
     assert not (tmp_path / "r.json").exists()
 
 
@@ -274,6 +298,24 @@ def test_cases_fail_when_disconnections_exceed_the_cap(tmp_path, slack, ok):
                                        "--out", str(tmp_path / "report.out")])
     assert result.exit_code == (0 if ok else 1), result.output
     assert f"disconnections={count} complete=True ok={ok}" in result.output
+
+
+@pytest.mark.parametrize("expectations, name", [
+    ({"case.json": {"max_disconections": 0}}, "unknown field 'max_disconections'"),
+    ({"case.json": {"max_disconnections": "0"}}, "expected an integer"),
+    (["case.json"], "expected an object, got list"),
+    ('{"case.json": ', "invalid JSON"),
+    ({"case.json": {}, "ghost.json": {}}, "ghost.json is listed"),
+], ids=["typo", "string cap", "list", "malformed", "missing case"])
+def test_cases_reject_malformed_expectations(tmp_path, expectations, name):
+    save_scenario(singleton_scenario([(0.0, 1.0)], path_target(1)), tmp_path / "case.json")
+    text = expectations if isinstance(expectations, str) else json.dumps(expectations)
+    (tmp_path / "expectations.json").write_text(text)
+    result = CliRunner().invoke(main, ["cases", str(tmp_path),
+                                       "--out", str(tmp_path / "report.out")])
+    assert_input_error(result, name)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report.out").exists()
 
 
 def test_out_dir_env_override(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import random
 import sys
 from unittest import mock
 
@@ -16,7 +17,9 @@ from shapeform.isomorphism import (
 )
 from shapeform.metrics import spot_values
 from shapeform.model import (
+    EMBEDDING_DEGREE_LIMIT,
     Configuration,
+    DegreeExceededError,
     Module,
     Pose,
     Scenario,
@@ -34,6 +37,7 @@ from conftest import (
     partial_states,
     path_target,
     random_trees,
+    star_target,
     target_from_edges,
 )
 from oracles import (
@@ -66,6 +70,26 @@ def star_config(leaves, first_id=0):
     members = [center] + [first_id + i for i in range(1, leaves + 1)]
     edges = [(center, m) for m in members[1:]]
     return config_from_edges(members, edges)
+
+
+def star_tree(leaves):
+    return leaves + 1, [(0, i) for i in range(1, leaves + 1)]
+
+
+def caterpillar_tree(legs):
+    """A spine 0-1-...-k with ``legs[i]`` leaves hung on spine node i."""
+    edges = [(i - 1, i) for i in range(1, len(legs))]
+    for i, count in enumerate(legs):
+        for _ in range(count):
+            edges.append((i, len(edges) + 1))
+    return len(edges) + 1, edges
+
+
+# trees as wide as the embedding table admits (degree 6 to 8)
+STAR7, STAR8, STAR9 = star_tree(6), star_tree(7), star_tree(8)
+CATERPILLAR8 = caterpillar_tree((5, 1))  # degree 6 at spine node 0
+CATERPILLAR10 = caterpillar_tree((6, 2))  # degree 7 at spine node 0
+assert max(len(adjacency(*STAR9)[v]) for v in range(STAR9[0])) == EMBEDDING_DEGREE_LIMIT
 
 
 def test_two_module_config_into_three_path():
@@ -166,6 +190,8 @@ def test_piece_holds_the_modules_reachable_through_larger_ids(config_tree, rng):
 
 @given(random_trees(min_nodes=1, max_nodes=8), random_trees(min_nodes=1, max_nodes=8),
        st.randoms(use_true_random=False))
+@example(STAR7, CATERPILLAR8, random.Random(0))
+@example(STAR7, STAR8, random.Random(1))
 def test_full_embeddings_match_brute_force(config_tree, target_tree, rng):
     cn, config_edges = relabelled(config_tree, rng)
     tn, target_edges = target_tree
@@ -181,6 +207,7 @@ def test_full_embeddings_match_brute_force(config_tree, target_tree, rng):
 
 @given(random_trees(min_nodes=1, max_nodes=7), random_trees(min_nodes=1, max_nodes=7),
        st.randoms(use_true_random=False))
+@example(CATERPILLAR8, STAR8, random.Random(0))
 def test_mcs_embeddings_match_brute_force(config_tree, target_tree, rng):
     """Without a full embedding the search returns every embedding of every
     largest connected piece of the configuration, each exactly once."""
@@ -238,6 +265,10 @@ PATH6 = (6, [(i - 1, i) for i in range(1, 6)])
 @given(wide_trees(), wide_trees())
 @example(STAR6, PATH6)  # configuration wider than the target
 @example(PATH6, STAR6)  # target wider than the configuration
+@example(STAR9, CATERPILLAR8)
+@example(STAR7, STAR9)
+@example(CATERPILLAR10, CATERPILLAR8)
+@example(CATERPILLAR8, CATERPILLAR10)
 def test_table_matches_recursive_reference(config_tree, target_tree):
     cn, config_edges = config_tree
     tn, target_edges = target_tree
@@ -254,6 +285,33 @@ def test_table_matches_recursive_reference(config_tree, target_tree):
         for u, pu in target_states:
             assert search.table(c, pc)[states.state[(u, pu)]] == \
                 recursive_best(config_adj, target_adj, c, pc, u, pu, memo)
+
+
+@settings(max_examples=40)
+@given(random_trees(min_nodes=1, max_nodes=8, max_degree=EMBEDDING_DEGREE_LIMIT),
+       random_trees(min_nodes=1, max_nodes=8, max_degree=EMBEDDING_DEGREE_LIMIT))
+@example(STAR7, CATERPILLAR8)
+@example(CATERPILLAR8, STAR8)
+@example(star_tree(4), STAR9)
+@example(CATERPILLAR8, CATERPILLAR10)
+def test_capped_lists_are_prefixes_of_the_uncapped_one(config_tree, target_tree):
+    """The walk reads padded slot rows, whose padding grows with the width;
+    at every width a capped list is still a prefix of the uncapped one."""
+    config = config_from_edges(range(config_tree[0]), config_tree[1])
+    states = states_for(target_from_edges(*target_tree))
+    found = best_embeddings(config, states, UNBOUNDED)
+    for cap in sorted({1, 2, 3, 5, 8, 13, 21, len(found) // 2, len(found) - 1} - {0}):
+        capped = best_embeddings(config, states, cap)
+        assert [(e.mapping, e.kind) for e in capped] == \
+            [(e.mapping, e.kind) for e in found[:cap]]
+
+
+def test_target_states_reject_a_spot_past_the_degree_limit():
+    target = star_target(EMBEDDING_DEGREE_LIMIT + 1)
+    with pytest.raises(DegreeExceededError,
+                       match=f"spot 0 has degree {EMBEDDING_DEGREE_LIMIT + 1}"):
+        states_for(target)
+    assert states_for(star_target(EMBEDDING_DEGREE_LIMIT)).width == EMBEDDING_DEGREE_LIMIT
 
 
 def test_600_chain_plans_at_default_recursion_limit():

@@ -12,6 +12,7 @@ from shapeform.model import (
     DanglingReferenceError,
     DegreeExceededError,
     DuplicateIdError,
+    EMBEDDING_DEGREE_LIMIT,
     Module,
     NotATreeError,
     Pose,
@@ -27,7 +28,8 @@ from shapeform.model import (
 )
 from shapeform.simulate import run_scenario
 
-from conftest import adjacency, config_from_edges, path_target, tree_edges_from_seed
+from conftest import (adjacency, config_from_edges, path_target, star_scenario,
+                      tree_edges_from_seed)
 
 
 def make_scenario(modules, configurations=(), target=None, **kwargs):
@@ -175,6 +177,26 @@ def test_huge_integer_degree_cap_is_no_overflow():
     scenario = make_scenario([Module(0, Pose(0.0, 0.0)), Module(1, Pose(1.0, 0.0))],
                              algo_params=AlgoParams(max_degree=10 ** 400))
     assert validate_scenario(scenario) is scenario
+
+
+def test_star_at_the_embedding_degree_limit_plans():
+    result = run_scenario(validate_scenario(star_scenario(EMBEDDING_DEGREE_LIMIT)))
+    assert result.complete and not result.disconnections
+
+
+def test_star_past_the_embedding_degree_limit_fails_validation():
+    """The embedding table holds 2 ** degree entries per target state, so a
+    spot wider than the limit is refused before any table is built."""
+    with pytest.raises(DegreeExceededError,
+                       match=f"spot 0 has degree {EMBEDDING_DEGREE_LIMIT + 1}, above the "
+                             f"limit of {EMBEDDING_DEGREE_LIMIT}"):
+        validate_scenario(star_scenario(EMBEDDING_DEGREE_LIMIT + 1))
+
+
+def test_singleton_star_past_the_embedding_degree_limit_plans():
+    """Singletons never build the embedding table, so any degree plans."""
+    scenario = star_scenario(EMBEDDING_DEGREE_LIMIT + 1, singletons_only=True)
+    assert run_scenario(validate_scenario(scenario)).complete
 
 
 def test_three_module_cycle_rejected():

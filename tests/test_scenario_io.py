@@ -84,6 +84,36 @@ def test_integer_past_the_digit_limit_rejected(tmp_path):
         load_scenario(path)
 
 
+@pytest.mark.parametrize("content, message", [
+    (b'{"modules": \xff}', "not UTF-8"),
+    (b"[" * 100_000, "nested too deeply"),
+    (b"[" * 100_000 + b"]" * 100_000, "nested too deeply"),
+], ids=["non-UTF-8", "deep open", "deep closed"])
+def test_undecodable_file_raises_parse_error(tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match=message):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize("fault, message", [
+    (lambda doc: (neighbors := doc["target"]["spots"][0]["neighbors"]).append(neighbors[0]),
+     r"target\.spots\[0\]\.neighbors: \d+ listed twice"),
+    (lambda doc: (edges := doc["configurations"][0]["edges"]).append(edges[0]),
+     r"configurations\[0\]\.edges: \(\d+, \d+\) listed twice"),
+    (lambda doc: (edges := doc["configurations"][0]["edges"]).append(edges[0][::-1]),
+     r"configurations\[0\]\.edges: \(\d+, \d+\) listed twice"),
+], ids=["neighbor", "edge", "reversed edge"])
+def test_repeated_entry_raises_parse_error(fault, message):
+    """A set-valued field lists each member once, as a configuration's
+    members do; a repeat is refused rather than silently merged."""
+    doc = scenario_to_dict(generate_scenario(GenParams(n_spots=12, seed=3)))
+    assert doc["configurations"]
+    fault(doc)
+    with pytest.raises(ParseError, match=message):
+        scenario_from_dict(doc)
+
+
 def test_missing_required_field():
     with pytest.raises(ParseError, match="seed"):
         scenario_from_dict({"modules": [], "configurations": [], "target": {"spots": []}})

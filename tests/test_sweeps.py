@@ -9,7 +9,7 @@ import pytest
 from shapeform import sweeps
 from shapeform.allocation import AllocationError
 from shapeform.model import ScenarioError
-from shapeform.scenario_io import save_scenario
+from shapeform.scenario_io import ParseError, save_scenario
 from shapeform.sweeps import SWEEP_KINDS, SweepParams, run_cases, run_sweep
 
 from conftest import path_target, singleton_scenario
@@ -123,7 +123,31 @@ def test_repo_cases_all_pass():
 
 def test_missing_case_file_raises(tmp_path):
     (tmp_path / "expectations.json").write_text(json.dumps({"ghost.json": {}}))
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(ParseError, match="ghost.json is listed in expectations.json"):
+        run_cases(tmp_path)
+
+
+MALFORMED_EXPECTATIONS = [
+    ('{"case.json": {"max_disconections": 0}}', "unknown field 'max_disconections'"),
+    ('{"case.json": {"max_disconnections": "2"}}',
+     "case.json.max_disconnections: expected an integer"),
+    ('{"case.json": {"max_disconnections": -1}}', "must be >= 0"),
+    ('{"case.json": {"max_disconnections": true}}', "expected an integer"),
+    ('{"case.json": {"max_disconnections": null}}', "expected an integer, got None"),
+    ('{"case.json": 2}', "case.json: expected an object"),
+    ('["case.json"]', "expectations.json: expected an object, got list"),
+    ('{"case.json": {', "invalid JSON at line 1"),
+]
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_EXPECTATIONS,
+                         ids=["typo", "string", "negative", "bool", "null", "entry", "list", "syntax"])
+def test_malformed_expectations_raise_parse_error(tmp_path, text, message):
+    """expectations.json is read as strictly as a scenario file: a mistyped
+    field would otherwise drop the cap and pass any plan."""
+    save_scenario(singleton_scenario([(0.0, 1.0)], path_target(1)), tmp_path / "case.json")
+    (tmp_path / "expectations.json").write_text(text)
+    with pytest.raises(ParseError, match=message):
         run_cases(tmp_path)
 
 
