@@ -89,7 +89,6 @@ def caterpillar_tree(legs):
 STAR7, STAR8, STAR9 = star_tree(6), star_tree(7), star_tree(8)
 CATERPILLAR8 = caterpillar_tree((5, 1))  # degree 6 at spine node 0
 CATERPILLAR10 = caterpillar_tree((6, 2))  # degree 7 at spine node 0
-assert max(len(adjacency(*STAR9)[v]) for v in range(STAR9[0])) == EMBEDDING_DEGREE_LIMIT
 
 
 def test_two_module_config_into_three_path():
@@ -258,7 +257,7 @@ def wide_trees(draw):
     return draw(random_trees(min_nodes=1, max_nodes=10, max_degree=degree))
 
 
-STAR6 = (6, [(0, i) for i in range(1, 6)])
+STAR6 = star_tree(5)
 PATH6 = (6, [(i - 1, i) for i in range(1, 6)])
 
 
