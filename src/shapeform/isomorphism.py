@@ -20,12 +20,15 @@ slot positions, run for all target states in one numpy pass per child.
 The DP is exact for any degree cap, and its values are integers, so no
 tie can flip.
 
-The enumerator walks the same state numbers and reads each state's
-value from its table.  The placed children's shares must then sum to that
-value minus one, the maximum of their values at the state's ``slots`` row
-over slot assignments, so each takes exactly its table value.  Search
-starts from target spots in descending value order and stops once the
-embedding cap is hit.  The walk from root module m never enters a smaller
+The enumerator is one depth-first loop over an explicit stack.  It walks
+the same state numbers and reads each state's value from its table.  The
+placed children's shares must then sum to that value minus one, the
+maximum of their values at the state's ``slots`` row over slot
+assignments, so each takes exactly its table value.  A module's children
+are decided in ascending id, a placed child's subtree before the next
+child, and each mapping lists its modules in post-order.  Search starts
+from target spots in descending value order and stops once the embedding
+cap is hit.  The walk from root module m never enters a smaller
 id, so it stays in m's piece, the modules reachable from m through larger
 ids; only a piece of the wanted size roots a search, and for a full
 embedding that is the smallest module's alone.
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -183,67 +185,57 @@ class _PairSearch:
         table[self._zero] = 0  # held spots and the sentinel
         return table
 
-    def enumerate(self, c: int, pc: Optional[int], t: int,
-                  floor: int, cap: int) -> list[dict[int, int]]:
-        """Up to ``cap`` mappings of ``table(c, pc)[t]`` modules rooted at c
-        -> state t's spot, in canonical order (skip branch first, then slots
-        ascending); a capped list is a prefix of the uncapped one.
+    def enumerate(self, m: int, t: int, cap: int) -> list[dict[int, int]]:
+        """Up to ``cap`` mappings of ``table(m, None)[t]`` modules rooted at
+        m -> state t's spot, none of them below m (see ``collect``), in
+        canonical order; a capped list is a prefix of the uncapped one.
 
-        ``floor`` excludes modules with smaller ids (see ``collect``).  Each
-        state that needs a search runs as a generator on an explicit stack
-        and yields the sub-enumerations it needs, so a long chain meets no
-        recursion limit.
+        One depth-first loop over an explicit stack, so a long chain meets no
+        recursion limit.  A stack entry is (pending items, placed (module,
+        spot) pairs), and an item is (module c, its parent, its state, c's
+        next child i, the slots c's children use, the modules still to place
+        below c).  Child i first stays out, then takes each free slot worth a
+        share that the later children can still complete, in ascending slot
+        order; the placed child's item goes in front of c's, so its subtree
+        is decided before c's next child.  c is placed once nothing is left
+        to place below it, so a mapping lists its modules in post-order.
+        ``rows`` keeps each expanded (c, state)'s children, their values at
+        the state's slots and the suffix sums of their best values; c has
+        the same parent in every item of one walk.
         """
-        stack = [self._search(c, pc, t, floor, cap)]
-        result = None
-        while stack:
-            try:
-                request = stack[-1].send(result)
-            except StopIteration as done:
-                stack.pop()
-                result = done.value
-            else:
-                stack.append(self._search(*request))
-                result = None
-        return result
-
-    def _search(self, c: int, pc: Optional[int], t: int, floor: int, cap: int):
-        """Generator behind ``enumerate``: yields each sub-enumeration
-        request, receives its mappings and returns this state's mappings."""
-        spot = self._spot  # splits calls itself, a cycle that must not hold self's tables
-        if (size := int(self.table(c, pc)[t])) == 1:
-            return [{c: spot[t]}]
-        children = [x for x in self.config_adj[c] if x != pc and x >= floor]
-        slots = self._slots[t]
-        caps = [self.table(ci, c)[slots].tolist() for ci in children]
-        suffix = [0] * (len(children) + 1)
-        for i in range(len(children) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] + max(caps[i], default=0)
-
-        def splits(i: int, remaining: int, used: int, limit: int):
-            """Up to ``limit`` ways to place ``remaining`` modules below
-            children i.. on the slots outside ``used``."""
+        spot, slots_of = self._spot, self._slots
+        out: list[dict[int, int]] = []
+        rows = {}
+        stack = [(((m, None, t, 0, 0, int(self.table(m, None)[t]) - 1),), ())]
+        while stack and len(out) < cap:
+            pending, placed = stack.pop()
+            while pending and not pending[0][5]:  # nothing left below the first item's module
+                placed += ((pending[0][0], spot[pending[0][2]]),)
+                pending = pending[1:]
+            if not pending:
+                out.append(dict(placed))
+                continue
+            (c, pc, t, i, used, remaining), rest = pending[0], pending[1:]
+            if (c, t) not in rows:
+                slots = slots_of[t]
+                children = [x for x in self.config_adj[c] if x != pc and x >= m]
+                sizes = [self.table(x, c)[slots].tolist() for x in children]
+                suffix = [0] * (len(children) + 1)
+                for k in range(len(children) - 1, -1, -1):
+                    suffix[k] = suffix[k + 1] + max(sizes[k], default=0)
+                rows[c, t] = slots.tolist(), children, sizes, suffix
+            slots, children, sizes, suffix = rows[c, t]
             if remaining > suffix[i]:
-                return []
-            if i == len(children):
-                return [{}] if remaining == 0 else []
-            res = yield from splits(i + 1, remaining, used, limit)  # child i stays behind
-            ci = children[i]
-            for j, size_j in enumerate(caps[i]):
-                rest = remaining - size_j  # a held or padding slot is worth 0: no child goes there
-                if used & (1 << j) or not size_j or not 0 <= rest <= suffix[i + 1]:
-                    continue
-                if len(res) >= limit:
-                    return res
-                room = limit - len(res)
-                rests = yield from splits(i + 1, rest, used | (1 << j), room)
-                if rests:  # head-major product of child i's mappings and the rests
-                    heads = ([{ci: spot[slots[j]]}] if size_j == 1
-                             else (yield (ci, c, slots[j], floor, room)))
-                    res.extend(islice(({**h, **r} for h in heads for r in rests), room))
-            return res
-
-        return [{**part, c: spot[t]} for part in (yield from splits(0, size - 1, 0, cap))]
+                continue
+            for j in range(len(slots) - 1, -1, -1):  # pushed in reverse: pop in ascending order
+                left = remaining - sizes[i][j]  # held and padding slots are worth 0
+                if not used & (1 << j) and sizes[i][j] and 0 <= left <= suffix[i + 1]:
+                    child = (children[i], c, slots[j], 0, 0, sizes[i][j] - 1)
+                    stack.append(((child, (c, pc, t, i + 1, used | 1 << j, left), *rest),
+                                  placed))
+            if remaining <= suffix[i + 1]:  # popped first: child i stays out
+                stack.append((((c, pc, t, i + 1, used, remaining), *rest), placed))
+        return out
 
     def max_common_size(self) -> int:
         """Size of the largest common subtree over every (module, spot) root;
@@ -257,9 +249,10 @@ class _PairSearch:
         ``size`` modules serving as root in turn, so a capped collection
         concentrates on the most valuable region first.
 
-        Each embedding is produced once: root m enumerates with ``floor`` m,
-        so m is the smallest module and ``mapping[m]`` the root spot of every
-        mapping it emits, and within one root a mapping has one derivation.
+        Each embedding is produced once: the walk from root m places no
+        module below m, so m is the smallest module and ``mapping[m]`` the
+        root spot of every mapping it emits, and within one root a mapping
+        has one derivation.
         Those mappings lie in m's piece, so a smaller piece cannot root one.
         """
         roots = [m for m in self.module_order if self.piece[m] >= size]
@@ -268,7 +261,7 @@ class _PairSearch:
             for m in roots:
                 if self.table(m, None)[t] < size:
                     continue
-                for mapping in self.enumerate(m, None, t, m, limit - len(out)):
+                for mapping in self.enumerate(m, t, limit - len(out)):
                     check_embedding(mapping, self.config_adj, self.states.target_adj)
                     out.append(Embedding(mapping=mapping, kind=kind))
                 if len(out) >= limit:

@@ -201,6 +201,8 @@ def _load_json(path: str | Path) -> Any:
         text = Path(path).read_text(encoding="utf-8")
         if text.strip():
             return json.loads(text)
+    except IsADirectoryError:
+        raise ParseError(f"{path}: a directory, not a file") from None
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     except json.JSONDecodeError as exc:

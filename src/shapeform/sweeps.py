@@ -236,10 +236,11 @@ class CaseReport:
 
 
 def run_cases(case_dir: str | Path, report_path: str | Path | None = None) -> CaseReport:
-    """Run every scenario file in the directory and compare against the
-    recorded expectations (expectations.json).  A file that the
-    expectations do not list must still plan to completion.  The file at
-    ``report_path``, where the caller writes the report, is no case."""
+    """Run every scenario file (a regular ``*.json`` file) in the directory
+    and compare against the recorded expectations (expectations.json).  A
+    file that the expectations do not list must still plan to completion.
+    The file at ``report_path``, where the caller writes the report, is no
+    case."""
     case_dir = Path(case_dir)
     expectations_path = case_dir / "expectations.json"
     expectations = {}
@@ -250,12 +251,12 @@ def run_cases(case_dir: str | Path, report_path: str | Path | None = None) -> Ca
     skip = {expectations_path.resolve()}
     if report_path is not None:
         skip.add(Path(report_path).resolve())
-    files = {p.name for p in case_dir.glob("*.json") if p.resolve() not in skip}
+    files = {p.name for p in case_dir.glob("*.json") if p.is_file() and p.resolve() not in skip}
     for name in sorted(files | set(expectations)):
         path = case_dir / name
-        if not path.exists():
+        if not path.is_file():
             raise ParseError(f"case file {path} is listed in {expectations_path.name} "
-                             "but missing")
+                             "but missing or not a file")
         result = run_scenario(load_scenario(path))
         ok = result.complete
         max_disc = expectations.get(name)

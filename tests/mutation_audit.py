@@ -59,6 +59,14 @@ MUTANTS = (
      "-sum(e.mapping.values())))",
      "embeddings of equal utility prefer the larger spot-id sum",
      "tests/test_isomorphism.py::test_exact_utility_ties_come_in_ascending_spot_sum"),
+    ("src/shapeform/isomorphism.py", "for j in range(len(slots) - 1, -1, -1):",
+     "for j in range(len(slots)):",
+     "the embedding walk tries a child's slots in descending order",
+     "tests/test_golden.py::test_embedding_enumeration_matches_golden"),
+    ("src/shapeform/isomorphism.py", "out.append(dict(placed))",
+     "out.append(dict(reversed(placed)))",
+     "a mapping lists its modules in reverse post-order",
+     "tests/test_isomorphism.py::test_mappings_list_modules_in_post_order"),
     ("src/shapeform/allocation.py", "blocked.sort()", "blocked.sort(reverse=True)",
      "blocked members scatter higher id first",
      "tests/test_golden.py::test_digests_match_golden"),

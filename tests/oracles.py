@@ -134,18 +134,21 @@ def brute_mcs_size(config_adj: dict[int, set[int]],
     return 0
 
 
-def _assign_max(weights: list[list[int]], i: int, used: int) -> int:
-    """Best total over injective partial assignments of children to slots."""
+def _assign_max(weights: list[list[int]], i: int, used: int, memo: dict) -> int:
+    """Best total over injective partial assignments of children i.. to the
+    slots outside ``used``, memoized on (i, used)."""
     if i == len(weights):
         return 0
-    best = _assign_max(weights, i + 1, used)  # leave child i unmapped
-    for j, w in enumerate(weights[i]):
-        if used & (1 << j):
-            continue
-        got = w + _assign_max(weights, i + 1, used | (1 << j))
-        if got > best:
-            best = got
-    return best
+    if (i, used) not in memo:
+        best = _assign_max(weights, i + 1, used, memo)  # leave child i unmapped
+        for j, w in enumerate(weights[i]):
+            if used & (1 << j):
+                continue
+            got = w + _assign_max(weights, i + 1, used | (1 << j), memo)
+            if got > best:
+                best = got
+        memo[i, used] = best
+    return memo[i, used]
 
 
 def recursive_best(config_adj: dict[int, set[int]], target_adj: dict[int, set[int]],
@@ -159,7 +162,7 @@ def recursive_best(config_adj: dict[int, set[int]], target_adj: dict[int, set[in
         slots = sorted(y for y in target_adj[u] if y != pu)
         weights = [[recursive_best(config_adj, target_adj, ci, c, uj, u, memo)
                     for uj in slots] for ci in children]
-        memo[key] = 1 + _assign_max(weights, 0, 0)
+        memo[key] = 1 + _assign_max(weights, 0, 0, {})
     return memo[key]
 
 

@@ -318,6 +318,32 @@ def test_cases_reject_malformed_expectations(tmp_path, expectations, name):
     assert not (tmp_path / "report.out").exists()
 
 
+def test_cases_skip_a_directory_named_like_a_case(tmp_path):
+    shutil.copy(CASES / "case1_two_windows.json", tmp_path)
+    (tmp_path / "sub.json").mkdir()
+    result = CliRunner().invoke(main, ["cases", str(tmp_path),
+                                       "--out", str(tmp_path / "report.out")])
+    assert result.exit_code == 0, result.output
+    report = json.loads((tmp_path / "report.out").read_text())
+    assert [row["case"] for row in report["cases"]] == ["case1_two_windows.json"]
+
+
+@pytest.mark.parametrize("directory, expectations, name", [
+    ("sub.json", {"sub.json": {}}, "sub.json is listed"),
+    ("expectations.json", None, "expectations.json: a directory"),
+], ids=["listed directory", "expectations directory"])
+def test_cases_reject_a_directory_where_a_file_belongs(tmp_path, directory, expectations, name):
+    save_scenario(singleton_scenario([(0.0, 1.0)], path_target(1)), tmp_path / "case.json")
+    (tmp_path / directory).mkdir()
+    if expectations is not None:
+        (tmp_path / "expectations.json").write_text(json.dumps(expectations))
+    result = CliRunner().invoke(main, ["cases", str(tmp_path),
+                                       "--out", str(tmp_path / "report.out")])
+    assert_input_error(result, name)
+    assert "Traceback" not in result.output
+    assert not (tmp_path / "report.out").exists()
+
+
 def test_out_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("SHAPEFORM_OUT_DIR", str(tmp_path / "outputs"))
     runner = CliRunner()

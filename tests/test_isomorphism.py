@@ -1,10 +1,12 @@
+import gc
 import random
 import sys
-from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from shapeform.generate import GenParams, generate_scenario
 from shapeform.isomorphism import (
     DegenerateInputError,
     FULL,
@@ -268,6 +270,8 @@ PATH6 = (6, [(i - 1, i) for i in range(1, 6)])
 @example(STAR7, STAR9)
 @example(CATERPILLAR10, CATERPILLAR8)
 @example(CATERPILLAR8, CATERPILLAR10)
+@example(STAR9, CATERPILLAR10)
+@example(CATERPILLAR10, STAR9)
 def test_table_matches_recursive_reference(config_tree, target_tree):
     cn, config_edges = config_tree
     tn, target_edges = target_tree
@@ -404,26 +408,69 @@ def test_held_spots_match_search_in_available_forest(drawn, cap):
         assert [(e.mapping, e.kind) for e in got] == [(e.mapping, e.kind) for e in expected]
 
 
+class RowLog(np.ndarray):
+    """A view of ``TargetStates.slots`` that logs the state numbers whose
+    slot row is read."""
+
+    def __getitem__(self, key):
+        if self.ndim == 2 and isinstance(key, (int, np.integer)):
+            self.read.append(int(key))
+        return super().__getitem__(key)
+
+
 @settings(max_examples=60)
 @given(partial_states(), st.integers(min_value=1, max_value=30))
 def test_walk_never_enters_a_held_spot(drawn, cap):
     """A held spot is worth 0 in every table, so the walk places no child
-    there rather than search it for a piece that cannot exist."""
+    there rather than search it for a piece that cannot exist: it reads no
+    held state's slot row."""
     scenario, state, _ = drawn
     held = frozenset(state.block_held)
     assume(held and len(held) < len(scenario.target.spots))
     states = TargetStates(scenario.target, spot_values(scenario.target))
-    entered = []
-    search = _PairSearch._search
+    states.slots = states.slots.view(RowLog)
+    states.slots.read = entered = []
+    for config in scenario.configurations:
+        best_embeddings(config, states, cap, held)
+    assert not held & {states.spot[t] for t in entered}
 
-    def recording(self, c, pc, t, floor, cap):
-        entered.append(self.states.spot[t])
-        return search(self, c, pc, t, floor, cap)
 
-    with mock.patch.object(_PairSearch, "_search", recording):
+def post_order(config_adj, c, parent, mapped):
+    """The mapped modules below c, c last, children in ascending id."""
+    return [*(x for y in sorted(config_adj[c]) if y != parent and y in mapped
+              for x in post_order(config_adj, y, c, mapped)), c]
+
+
+@given(wide_trees(), wide_trees(), st.sampled_from((1, 3, 20, 200)))
+@example(STAR7, CATERPILLAR8, 200)
+@example(CATERPILLAR8, STAR8, 200)
+@example(star_tree(4), STAR9, 200)
+@example(CATERPILLAR8, CATERPILLAR10, 200)
+def test_mappings_list_modules_in_post_order(config_tree, target_tree, cap):
+    """Block utility sums a mapping in its order, so the order is part of
+    every plan: each mapping lists its modules in post-order from its
+    smallest module."""
+    cn, config_edges = config_tree
+    config_adj = adjacency(cn, config_edges)
+    found = best_embeddings(config_from_edges(range(cn), config_edges),
+                            states_for(target_from_edges(*target_tree)), cap)
+    for e in found:
+        assert list(e.mapping) == post_order(config_adj, min(e.mapping), None, e.mapping)
+
+
+def test_embedding_search_leaves_no_reference_cycles():
+    """The walk builds no reference cycle, so everything a search makes is
+    freed without the cycle collector."""
+    scenario = generate_scenario(GenParams(n_spots=100, equal_config_size=25, seed=15))
+    states = states_for(scenario.target)
+    gc.collect()
+    gc.disable()
+    try:
         for config in scenario.configurations:
-            best_embeddings(config, states, cap, held)
-    assert not held & set(entered)
+            assert best_embeddings(config, states)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_order_embeddings_by_utility_then_spot_sum():

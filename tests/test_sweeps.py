@@ -127,6 +127,27 @@ def test_missing_case_file_raises(tmp_path):
         run_cases(tmp_path)
 
 
+def test_directory_named_like_a_case_is_no_case(tmp_path):
+    shutil.copy(Path("cases") / "case1_two_windows.json", tmp_path)
+    (tmp_path / "sub.json").mkdir()
+    report = run_cases(tmp_path)
+    assert [row["case"] for row in report.rows] == ["case1_two_windows.json"]
+    assert report.all_ok
+
+
+def test_listed_directory_raises(tmp_path):
+    (tmp_path / "sub.json").mkdir()
+    (tmp_path / "expectations.json").write_text(json.dumps({"sub.json": {}}))
+    with pytest.raises(ParseError, match="sub.json is listed in expectations.json"):
+        run_cases(tmp_path)
+
+
+def test_expectations_directory_raises(tmp_path):
+    (tmp_path / "expectations.json").mkdir()
+    with pytest.raises(ParseError, match="expectations.json: a directory, not a file"):
+        run_cases(tmp_path)
+
+
 MALFORMED_EXPECTATIONS = [
     ('{"case.json": {"max_disconections": 0}}', "unknown field 'max_disconections'"),
     ('{"case.json": {"max_disconnections": "2"}}',
