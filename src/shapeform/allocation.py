@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
+import numpy as np
+
 from .isomorphism import MCS, Embedding, TargetStates, best_embeddings, order_embeddings
 from .metrics import target_center
 from .model import Pose, ScenarioIndex, planar_distance
-from .utility import module_spot_cost, preserved_links, utility_row
+from .utility import module_spot_cost, preserved_links, utility_rows
 
 SINGLETON = "singleton"
 BLOCK_MEMBER = "block_member"
@@ -106,17 +108,17 @@ class PlanContext:
     the target center, one utility row per module and the target state
     numbering.
 
-    A module's state-free utility for a spot (``utility_row``) charges
+    A module's state-free utility for a spot (``utility_rows``) charges
     docking for every spot neighbour and undocking for every initial link.
     Against the evolving selections, both charges are waived only across an
     adjacency between the spot and a spot where one of the module's initial
     link partners now sits.  Every other spot therefore keeps its row value
-    bit for bit (the same expression with the same charge counts), so each
-    module's row and its preference order are built together, once, by
-    ``_row``, and only the few spots next to placed partners are re-scored.
-    Modules without initial links never need re-scoring.  Validation keeps
-    every cost finite, so utilities order totally and ties fall to the lower
-    spot id everywhere.
+    bit for bit (the same formula, ``module_spot_cost``, with the same charge
+    counts), so each module's row and its preference order are built
+    together, once, by ``_row``, and only the few spots next to placed
+    partners are re-scored.  Modules without initial links never need
+    re-scoring.  Validation keeps every cost finite, so utilities order
+    totally and ties fall to the lower spot id everywhere.
     """
 
     def __init__(self, index: ScenarioIndex, values: Mapping[int, float]) -> None:
@@ -130,19 +132,35 @@ class PlanContext:
         return TargetStates(self.index.scenario.target, self.values)
 
     def utility(self, module_id: int, spot_id: int, state: AllocationState) -> float:
-        if not self.index.module_links[module_id]:
+        index = self.index
+        if not index.module_links[module_id]:
             return self._row(module_id)[0][spot_id]
         return self.values[spot_id] - module_spot_cost(
-            self.index.module_by_id[module_id], self.index.spot_by_id[spot_id], self.index,
-            preserved_links(module_id, spot_id, self.index, state.spot_of))
+            index.cost_params,
+            planar_distance(index.module_by_id[module_id].pose, index.spot_by_id[spot_id].pose),
+            len(index.spot_neighbors[spot_id]), len(index.module_links[module_id]),
+            preserved_links(module_id, spot_id, index, state.spot_of))
 
     def _row(self, module_id: int) -> tuple[dict[int, float], list[int]]:
         """The module's state-free utility at every spot, and the spot ids by
-        descending utility, ties by lower id."""
+        descending utility, ties by lower id.
+
+        A singleton's first call builds the rows of every singleton still
+        without one, in one ``utility_rows`` call, since every singleton
+        plans; any other module's row is built alone.  A stable sort of the
+        negated row over ascending spot ids puts ties (0.0 and -0.0
+        included) in ascending id order.  Tables hold Python floats and
+        orders Python ints, so no numpy scalar reaches the plan."""
         row = self._rows.get(module_id)
         if row is None:
-            table = utility_row(self.index.module_by_id[module_id], self.values, self.index)
-            row = self._rows[module_id] = (table, sorted(table, key=lambda s: (-table[s], s)))
+            batch = ([m for m in self.index.singleton_ids if m not in self._rows]
+                     if self.index.module_by_id[module_id].is_singleton else [module_id])
+            spot_ids, matrix = utility_rows(self.index, self.values, batch)
+            orders = np.argsort(-matrix, axis=1, kind="stable").tolist()
+            for batch_id, utilities, order in zip(batch, matrix.tolist(), orders):
+                self._rows[batch_id] = (dict(zip(spot_ids, utilities)),
+                                        list(map(spot_ids.__getitem__, order)))
+            row = self._rows[module_id]
         return row
 
     def _near_partners(self, module_id: int, state: AllocationState) -> set[int]:

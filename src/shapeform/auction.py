@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import ScenarioIndex
-from .utility import utility_row
+from .utility import utility_rows
 
 
 class NonTerminationError(RuntimeError):
@@ -46,14 +46,10 @@ def default_epsilon(utilities: np.ndarray, n_spots: int) -> float:
 def singleton_utility_matrix(index: ScenarioIndex,
                              values: Mapping[int, float]) -> tuple[list[int], list[int], np.ndarray]:
     """Utility of every module for every spot with no link preserved: the
-    planner's state-free rows (``utility_row``) stacked by module id, their
+    planner's state-free rows (``utility_rows``) for the modules by id, their
     columns by spot id."""
     module_ids = sorted(index.module_by_id)
-    spot_ids = sorted(index.spot_by_id)
-    matrix = np.empty((len(module_ids), len(spot_ids)))
-    for i, mid in enumerate(module_ids):
-        row = utility_row(index.module_by_id[mid], values, index)
-        matrix[i] = [row[sid] for sid in spot_ids]
+    spot_ids, matrix = utility_rows(index, values, module_ids)
     return module_ids, spot_ids, matrix
 
 

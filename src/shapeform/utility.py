@@ -6,13 +6,20 @@ undocking charge for every current link it must sever.  A link that
 connects the same two modules in both the initial and the target
 configuration is exempt from both charges.  Blocks additionally earn a
 connection-retention reward that grows with block size.
+
+``module_spot_cost`` is the one cost formula.  ``utility_rows`` applies it
+to whole arrays for the state-free rows of many modules at once; the
+planner's re-scored spots and ``block_utility`` apply it to single numbers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Optional
+import math
+from typing import Callable, Mapping, Optional, Sequence
 
-from .model import Module, ScenarioIndex, Spot, planar_distance
+import numpy as np
+
+from .model import CostParams, ScenarioIndex, planar_distance
 
 
 class EmbeddingError(ValueError):
@@ -49,26 +56,44 @@ def preserved_links(module_id: int, spot_id: int, index: ScenarioIndex,
                if spot_of(partner) in neighbors)
 
 
-def module_spot_cost(module: Module, spot: Spot, index: ScenarioIndex,
-                     preserved: int = 0) -> float:
-    """Cost for ``module`` to occupy ``spot`` with ``preserved`` links kept
-    (see ``preserved_links``): ``alpha_loc * planar distance + c_dock *
-    (spot neighbours - preserved) + c_undock * (initial links - preserved)``;
-    orientation plays no part."""
-    params = index.cost_params
-    return (params.alpha_loc * planar_distance(module.pose, spot.pose)
-            + params.c_dock * (len(spot.neighbor_ids) - preserved)
-            + params.c_undock * (len(index.module_links[module.id]) - preserved))
+def module_spot_cost(params: CostParams, distance, degree, links, preserved=0):
+    """Cost to occupy a spot ``distance`` away with ``degree`` neighbours, for
+    a module with ``links`` initial links of which ``preserved`` are kept (see
+    ``preserved_links``): ``alpha_loc * distance + c_dock * (degree -
+    preserved) + c_undock * (links - preserved)``; orientation plays no part.
+
+    The only cost expression.  It runs elementwise on numpy arrays as well as
+    on numbers, with the same operations in the same order, and numpy's
+    ``+``, ``-`` and ``*`` round as Python floats do, so a cell of an array
+    call equals the scalar call bit for bit."""
+    return (params.alpha_loc * distance + params.c_dock * (degree - preserved)
+            + params.c_undock * (links - preserved))
 
 
-def utility_row(module: Module, values: Mapping[int, float],
-                index: ScenarioIndex) -> dict[int, float]:
-    """The module's state-free utility at every spot, by spot id: spot value
-    minus ``module_spot_cost`` with no link preserved.  The planner's tables
-    and the auction's matrix both read this row; nothing else computes
-    state-free utility."""
-    return {spot.id: values[spot.id] - module_spot_cost(module, spot, index)
-            for spot in index.spot_by_id.values()}
+def utility_rows(index: ScenarioIndex, values: Mapping[int, float],
+                 module_ids: Sequence[int]) -> tuple[list[int], np.ndarray]:
+    """The state-free utility of each module at every spot: the ascending
+    spot ids, and a matrix with one row per module and one column per spot
+    holding the spot value minus ``module_spot_cost`` with no link preserved.
+    The planner's tables and the auction's matrix both read these rows;
+    nothing else computes state-free utility.
+
+    Distances come from ``math.hypot`` cell by cell, as ``planar_distance``
+    computes them (``np.hypot`` rounds differently), and the rest from one
+    array call of ``module_spot_cost``."""
+    spot_ids = sorted(index.spot_by_id)
+    spot_poses = [index.spot_by_id[s].pose for s in spot_ids]
+    module_poses = [index.module_by_id[m].pose for m in module_ids]
+    dx = np.subtract.outer(np.array([p.x for p in module_poses], dtype=float),
+                           np.array([p.x for p in spot_poses], dtype=float))
+    dy = np.subtract.outer(np.array([p.y for p in module_poses], dtype=float),
+                           np.array([p.y for p in spot_poses], dtype=float))
+    distance = np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())),
+                        dtype=float).reshape(dx.shape)
+    degree = np.array([len(index.spot_neighbors[s]) for s in spot_ids])
+    links = np.array([len(index.module_links[m]) for m in module_ids]).reshape(-1, 1)
+    cost = module_spot_cost(index.cost_params, distance, degree, links)
+    return spot_ids, np.array([values[s] for s in spot_ids], dtype=float) - cost
 
 
 def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],
@@ -85,7 +110,10 @@ def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],
     value = cost = 0.0
     for module_id, spot_id in mapping.items():
         value += values[spot_id]
-        cost += module_spot_cost(index.module_by_id[module_id], index.spot_by_id[spot_id],
-                                 index, preserved_links(module_id, spot_id, index,
-                                                        mapping.get))
+        cost += module_spot_cost(index.cost_params,
+                                 planar_distance(index.module_by_id[module_id].pose,
+                                                 index.spot_by_id[spot_id].pose),
+                                 len(index.spot_neighbors[spot_id]),
+                                 len(index.module_links[module_id]),
+                                 preserved_links(module_id, spot_id, index, mapping.get))
     return value - (cost - retention_reward(len(mapping), index.n_modules))

@@ -77,8 +77,8 @@ MUTANTS = (
      "",
      "unselect releases a block member's permanent spot",
      "tests/test_allocation.py::test_unselect_of_a_block_member_raises"),
-    ("src/shapeform/allocation.py", "sorted(table, key=lambda s: (-table[s], s))",
-     "sorted(table, key=lambda s: (-table[s], -s))",
+    ("src/shapeform/allocation.py", "np.argsort(-matrix, axis=1, kind=\"stable\")",
+     "np.argsort(matrix, axis=1, kind=\"stable\")[:, ::-1]",
      "ties in a module's fixed order go to the higher spot id",
      "tests/test_allocation.py::test_best_spot_ties_go_to_lower_id_in_seeded_tables"),
     ("src/shapeform/model.py",

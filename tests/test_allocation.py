@@ -32,9 +32,11 @@ from shapeform.model import (
     ScenarioIndex,
     Spot,
     TargetConfiguration,
+    planar_distance,
     validate_scenario,
 )
 from shapeform.simulate import run_planning
+from shapeform.utility import module_spot_cost, utility_rows
 from conftest import (
     config_from_edges,
     generated_scenarios,
@@ -50,13 +52,22 @@ from oracles import ReferenceSingletonPlanner, reference_evict, reference_spot_c
 
 def seeded_context(scenario, tables):
     """PlanContext whose singleton utilities come from explicit tables: each
-    seeded module's row is built by ``PlanContext._row`` from its table."""
+    seeded module's row is put in the matrix of ``allocation.utility_rows``,
+    so ``PlanContext._row`` builds its order from the table."""
     index = ScenarioIndex.build(scenario)
     values = spot_values(scenario.target)
     ctx = PlanContext(index, values)
+    built = allocation.utility_rows
+
+    def seeded_rows(index, values, module_ids):
+        spot_ids, matrix = built(index, values, module_ids)
+        for i, module_id in enumerate(module_ids):
+            if module_id in tables:
+                matrix[i] = [tables[module_id][s] for s in spot_ids]
+        return spot_ids, matrix
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(allocation, "utility_row",
-                      lambda module, values, index: dict(tables[module.id]))
+        patch.setattr(allocation, "utility_rows", seeded_rows)
         for module_id in tables:
             assert not index.module_links[module_id]
             ctx._row(module_id)
@@ -522,6 +533,30 @@ def test_rows_are_bit_identical_across_auction_and_planner(scenario, drawn):
         table = ctx._row(module_id)[0]
         assert all(ctx.utility(module_id, s, state) == table[s]
                    for s in index.spot_by_id if s not in near)
+
+
+@settings(max_examples=100)
+@given(st.one_of(grid_scenarios(), generated_scenarios()))
+def test_rows_and_orders_match_the_scalar_formula(scenario):
+    """Every cell of ``utility_rows`` equals the scalar ``module_spot_cost``
+    with ``==``, and every order ``_row`` builds equals the ``(-utility, id)``
+    sort of its table; grid scenarios are full of exact ties.  Tables hold
+    Python floats and orders Python ints."""
+    index = ScenarioIndex.build(scenario)
+    ctx = PlanContext(index, spot_values(scenario.target))
+    module_ids = sorted(index.module_by_id)
+    spot_ids, matrix = utility_rows(index, ctx.values, module_ids)
+    assert spot_ids == sorted(index.spot_by_id)
+    for module_id, row in zip(module_ids, matrix.tolist()):
+        pose = index.module_by_id[module_id].pose
+        assert row == [ctx.values[s] - module_spot_cost(
+            index.cost_params, planar_distance(pose, index.spot_by_id[s].pose),
+            len(index.spot_neighbors[s]), len(index.module_links[module_id]))
+            for s in spot_ids]
+        table, order = ctx._row(module_id)
+        assert order == sorted(table, key=lambda s: (-table[s], s))
+        assert all(type(s) is int for s in order)
+        assert all(type(u) is float for u in table.values())
 
 
 def test_best_spot_ties_go_to_lower_id_in_seeded_tables():

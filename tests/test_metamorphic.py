@@ -19,6 +19,7 @@ in module id order before any decision, so they are left out.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapeform.allocation import POSITION_BROADCAST
@@ -128,3 +129,16 @@ def test_reversing_ids_leaves_singleton_plans_unchanged(scenario):
     got = signature(run_planning(reversed_ids), module_id=lambda i: top_module - i,
                     spot_id=lambda i: top_spot - i)
     assert got == signature(run_planning(scenario))
+
+
+@pytest.mark.parametrize("shape", [{"singletons_only": True}, {}])
+def test_spot_ids_past_int64_plan_as_renumbered(shape):
+    """Spot ids stay Python ints through the numpy rows: ids above 2**63,
+    which no numpy integer holds, plan as their order-preserving renumbering
+    does, and every allocation key is a Python int."""
+    scenario = generate_scenario(GenParams(n_spots=30, seed=5, **shape))
+    renumbered = transformed(scenario, spot_id=lambda i: 2 ** 70 + 7 * i)
+    result = run_scenario(renumbered)
+    assert all(type(s) is int for s in result.allocation)
+    assert signature(result, spot_id=lambda i: (i - 2 ** 70) // 7) == \
+        signature(run_scenario(scenario))

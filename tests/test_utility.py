@@ -27,13 +27,27 @@ from shapeform.utility import (
     module_spot_cost,
     preserved_links,
     retention_reward,
-    utility_row,
+    utility_rows,
 )
 
 from conftest import adjacency, partial_states, path_target, tree_edges_from_seed
 from oracles import brute_spot_values, reference_block_utility, reference_spot_cost
 
 DEFAULTS = CostParams()
+
+
+def _spot_cost(module, spot, index, preserved=0):
+    """``module_spot_cost`` for the module at the spot, its counts read from
+    the index."""
+    return module_spot_cost(index.cost_params, planar_distance(module.pose, spot.pose),
+                            len(index.spot_neighbors[spot.id]),
+                            len(index.module_links[module.id]), preserved)
+
+
+def _row(module, values, index):
+    """The module's state-free utility at every spot, by spot id."""
+    spot_ids, matrix = utility_rows(index, values, [module.id])
+    return dict(zip(spot_ids, matrix[0].tolist()))
 
 
 def _lone_pair(module_pose, spot_pose, params=DEFAULTS):
@@ -48,10 +62,10 @@ def _lone_pair(module_pose, spot_pose, params=DEFAULTS):
 
 
 def test_locomotion_examples():
-    assert module_spot_cost(*_lone_pair(Pose(1, 1), Pose(1, 1))) == 0.0
-    assert module_spot_cost(*_lone_pair(Pose(0, 0), Pose(3, 4))) == pytest.approx(5.0)
-    assert module_spot_cost(*_lone_pair(Pose(0, 0), Pose(3, 4),
-                                        CostParams(alpha_loc=2.0))) == pytest.approx(10.0)
+    assert _spot_cost(*_lone_pair(Pose(1, 1), Pose(1, 1))) == 0.0
+    assert _spot_cost(*_lone_pair(Pose(0, 0), Pose(3, 4))) == pytest.approx(5.0)
+    assert _spot_cost(*_lone_pair(Pose(0, 0), Pose(3, 4),
+                                  CostParams(alpha_loc=2.0))) == pytest.approx(10.0)
 
 
 def test_retention_reward_examples():
@@ -77,7 +91,7 @@ def test_singleton_cost_two_future_links():
              Spot(2, Pose(-1.0, 0.0), frozenset({0}))]
     scenario = _scenario([Module(0, Pose(3.0, 4.0))], [], spots)
     index = ScenarioIndex.build(scenario)
-    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index)
+    cost = _spot_cost(index.module_by_id[0], index.spot_by_id[0], index)
     assert cost == pytest.approx(5.0 + 2 * 0.1)
 
 
@@ -96,7 +110,7 @@ def test_connected_module_moving_alone():
     state.select(1, 2, SINGLETON)  # a stranger holds the neighbor spot
     preserved = preserved_links(0, 0, index, state.spot_of)
     assert preserved == 0
-    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index, preserved)
+    cost = _spot_cost(index.module_by_id[0], index.spot_by_id[0], index, preserved)
     assert cost == pytest.approx(5.0 + 0.1 + 0.05)
 
 
@@ -113,7 +127,7 @@ def test_preserved_link_exempts_both_charges():
     state.select(1, 1, SINGLETON)  # the partner already sits next door
     preserved = preserved_links(0, 0, index, state.spot_of)
     assert preserved == 1
-    cost = module_spot_cost(index.module_by_id[0], index.spot_by_id[0], index, preserved)
+    cost = _spot_cost(index.module_by_id[0], index.spot_by_id[0], index, preserved)
     assert cost == pytest.approx(5.0)
 
 
@@ -168,13 +182,13 @@ def test_module_spot_utility_examples():
     scenario = _scenario([Module(0, Pose(3.0, 4.0))], [], spots)
     index = ScenarioIndex.build(scenario)
     values = {0: 1.0, 1: 0.0, 2: 0.0}
-    utility = utility_row(index.module_by_id[0], values, index)[0]
+    utility = _row(index.module_by_id[0], values, index)[0]
     assert utility == pytest.approx(1.0 - 5.2)
     # module exactly on an isolated spot, nothing to form or sever
     lone = _scenario([Module(0, Pose(0.0, 0.0))], [],
                      [Spot(0, Pose(0.0, 0.0), frozenset())])
     lone_index = ScenarioIndex.build(lone)
-    assert utility_row(lone_index.module_by_id[0], {0: 0.0}, lone_index)[0] == 0.0
+    assert _row(lone_index.module_by_id[0], {0: 0.0}, lone_index)[0] == 0.0
 
 
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=5000))
@@ -190,7 +204,7 @@ def test_singleton_utilities_match_independent_recomputation(n, seed):
     oracle_values = brute_spot_values({s.id: set(s.neighbor_ids)
                                        for s in target.spots})
     for m in modules:
-        row = utility_row(m, values, index)
+        row = _row(m, values, index)
         for s in target.spots:
             got = row[s.id]
             expected = (oracle_values[s.id]
@@ -206,9 +220,8 @@ def test_block_utility_identity(n, seed):
     values = {s: 0.1 * s for s in index.spot_by_id}
     members = sorted(mapping)
     member_sum = sum(
-        values[mapping[m]] - module_spot_cost(index.module_by_id[m],
-                                              index.spot_by_id[mapping[m]], index,
-                                              preserved_links(m, mapping[m], index, mapping.get))
+        values[mapping[m]] - _spot_cost(index.module_by_id[m], index.spot_by_id[mapping[m]],
+                                        index, preserved_links(m, mapping[m], index, mapping.get))
         for m in members)
     expected = member_sum + retention_reward(len(mapping), index.n_modules)
     assert block_utility(mapping, values, index) == pytest.approx(expected)
@@ -220,7 +233,7 @@ def test_block_utility_size_one_identity():
     scenario = _scenario([Module(0, Pose(3.0, 4.0))], [], spots, n_fill=9)
     index = ScenarioIndex.build(scenario)
     values = {0: 0.5}
-    single = utility_row(index.module_by_id[0], values, index)[0]
+    single = _row(index.module_by_id[0], values, index)[0]
     got = block_utility({0: 0}, values, index)
     assert got == pytest.approx(single + (1 - 2) / 10)
 
@@ -228,8 +241,8 @@ def test_block_utility_size_one_identity():
 def test_cost_never_below_locomotion():
     index, mapping = _block_fixture(4, total_modules=8)
     for m, s in mapping.items():
-        cost = module_spot_cost(index.module_by_id[m], index.spot_by_id[s], index,
-                                preserved_links(m, s, index, mapping.get))
+        cost = _spot_cost(index.module_by_id[m], index.spot_by_id[s], index,
+                          preserved_links(m, s, index, mapping.get))
         assert cost >= 5.0 - 1e-12
 
 
@@ -289,8 +302,7 @@ def test_block_cheaper_than_severed_singletons(n, seed):
                       [index.spot_by_id[i] for i in range(n)], n_fill=3)
     loose_index = ScenarioIndex.build(loose)
     as_singletons = sum(
-        module_spot_cost(loose_index.module_by_id[i], loose_index.spot_by_id[i],
-                         loose_index)
+        _spot_cost(loose_index.module_by_id[i], loose_index.spot_by_id[i], loose_index)
         for i in range(n))
     assert as_block < as_singletons
 
@@ -303,7 +315,7 @@ def test_preserved_count_matches_per_neighbour_reference(drawn):
     for module in scenario.modules:
         for spot in scenario.target.spots:
             preserved = preserved_links(module.id, spot.id, index, state.spot_of)
-            assert module_spot_cost(module, spot, index, preserved) == \
+            assert _spot_cost(module, spot, index, preserved) == \
                 reference_spot_cost(module, spot, index, state, index.cost_params)
 
 
