@@ -156,10 +156,10 @@ class PlanContext:
             batch = ([m for m in self.index.singleton_ids if m not in self._rows]
                      if self.index.module_by_id[module_id].is_singleton else [module_id])
             spot_ids, matrix = utility_rows(self.index, self.values, batch)
-            orders = np.argsort(-matrix, axis=1, kind="stable").tolist()
-            for batch_id, utilities, order in zip(batch, matrix.tolist(), orders):
-                self._rows[batch_id] = (dict(zip(spot_ids, utilities)),
-                                        list(map(spot_ids.__getitem__, order)))
+            orders = np.argsort(-matrix, axis=1, kind="stable")
+            for batch_id, utilities, order in zip(batch, matrix, orders):
+                self._rows[batch_id] = (dict(zip(spot_ids, utilities.tolist())),
+                                        list(map(spot_ids.__getitem__, order.tolist())))
             row = self._rows[module_id]
         return row
 

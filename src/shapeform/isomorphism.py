@@ -26,12 +26,14 @@ placed children's shares must then sum to that value minus one, the
 maximum of their values at the state's ``slots`` row over slot
 assignments, so each takes exactly its table value.  A module's children
 are decided in ascending id, a placed child's subtree before the next
-child, and each mapping lists its modules in post-order.  Search starts
-from target spots in descending value order and stops once the embedding
-cap is hit.  The walk from root module m never enters a smaller
-id, so it stays in m's piece, the modules reachable from m through larger
-ids; only a piece of the wanted size roots a search, and for a full
-embedding that is the smallest module's alone.
+child, and each mapping lists its modules in post-order.  The walk from
+root module m never enters a smaller id, so it stays in m's piece, the
+modules reachable from m through larger ids; only a piece of the wanted
+size roots a search, and for a full embedding that is the smallest
+module's, m0's, alone.  The tables rooted at m0 also give the maximum
+common subtree size: a common subtree lies below its module closest to
+m0, whose table (entered from its neighbour toward m0) counts it at a
+root target state.
 """
 
 from __future__ import annotations
@@ -126,8 +128,7 @@ class _PairSearch:
     Every table gives the states of held spots the value 0, as it gives the
     sentinel.  This equals a search in the forest left after removing the
     held spots: a held child adds 0 to every parent's DP, a held spot roots
-    nothing, and the walk places no child on a slot worth 0.
-    """
+    nothing, and the walk places no child on a slot worth 0."""
 
     def __init__(self, config: Configuration, states: TargetStates,
                  held: frozenset[int] = frozenset()):
@@ -238,23 +239,22 @@ class _PairSearch:
         return out
 
     def max_common_size(self) -> int:
-        """Size of the largest common subtree over every (module, spot) root;
-        a spot entered from a neighbour has fewer slots, so no more value."""
-        return max(int(self.table(m, None).max()) for m in self.module_order)
+        """Size of the largest common subtree: the largest value in the built
+        tables, each realised by an embedding.  A common subtree lies below
+        its module c closest to the smallest module m0, and ``table(m0, None)``
+        builds c's table entered toward m0, which counts it at a root state."""
+        self.table(self.module_order[0], None)
+        return max(int(table.max()) for table in self._table.values())
 
     def collect(self, size: int, kind: str, limit: int) -> list[Embedding]:
-        """Gather up to ``limit`` embeddings of the given size, stopping as
-        soon as the cap is reached.  Root spots (a held one is worth 0) are
-        visited in descending value order, every module whose piece holds
-        ``size`` modules serving as root in turn, so a capped collection
-        concentrates on the most valuable region first.
-
-        Each embedding is produced once: the walk from root m places no
-        module below m, so m is the smallest module and ``mapping[m]`` the
-        root spot of every mapping it emits, and within one root a mapping
-        has one derivation.
-        Those mappings lie in m's piece, so a smaller piece cannot root one.
-        """
+        """Up to ``limit`` embeddings of the given size, stopping once the cap
+        is reached.  Root spots (a held one is worth 0) are visited in
+        descending value order, each rooting a walk from every module whose
+        piece holds ``size`` modules in turn, so a capped collection keeps the
+        most valuable region.  Each embedding is produced once: the walk from
+        m places no module below m, so m is the smallest module and
+        ``mapping[m]`` the root spot of every mapping it emits, and within one
+        root a mapping has one derivation."""
         roots = [m for m in self.module_order if self.piece[m] >= size]
         out: list[Embedding] = []
         for t in self.states.root_states:

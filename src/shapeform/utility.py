@@ -22,6 +22,10 @@ import numpy as np
 from .model import CostParams, ScenarioIndex, planar_distance
 
 
+# the most cells ``utility_rows`` builds at once
+ROW_SLICE_CELLS = 2 ** 16
+
+
 class EmbeddingError(ValueError):
     """A mapping is not an injective, edge-preserving, connected embedding."""
 
@@ -80,20 +84,31 @@ def utility_rows(index: ScenarioIndex, values: Mapping[int, float],
 
     Distances come from ``math.hypot`` cell by cell, as ``planar_distance``
     computes them (``np.hypot`` rounds differently), and the rest from one
-    array call of ``module_spot_cost``."""
+    array call of ``module_spot_cost`` per slice of rows.  A slice holds at
+    most ``ROW_SLICE_CELLS`` cells (and at least one row), so the Python
+    floats a large batch passes through stay bounded; every cell is
+    computed alone, so the slicing changes no bit."""
     spot_ids = sorted(index.spot_by_id)
     spot_poses = [index.spot_by_id[s].pose for s in spot_ids]
     module_poses = [index.module_by_id[m].pose for m in module_ids]
-    dx = np.subtract.outer(np.array([p.x for p in module_poses], dtype=float),
-                           np.array([p.x for p in spot_poses], dtype=float))
-    dy = np.subtract.outer(np.array([p.y for p in module_poses], dtype=float),
-                           np.array([p.y for p in spot_poses], dtype=float))
-    distance = np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())),
-                        dtype=float).reshape(dx.shape)
+    spot_x = np.array([p.x for p in spot_poses], dtype=float)
+    spot_y = np.array([p.y for p in spot_poses], dtype=float)
+    module_x = np.array([p.x for p in module_poses], dtype=float)
+    module_y = np.array([p.y for p in module_poses], dtype=float)
     degree = np.array([len(index.spot_neighbors[s]) for s in spot_ids])
     links = np.array([len(index.module_links[m]) for m in module_ids]).reshape(-1, 1)
-    cost = module_spot_cost(index.cost_params, distance, degree, links)
-    return spot_ids, np.array([values[s] for s in spot_ids], dtype=float) - cost
+    spot_value = np.array([values[s] for s in spot_ids], dtype=float)
+    matrix = np.empty((len(module_ids), len(spot_ids)))
+    step = max(1, ROW_SLICE_CELLS // len(spot_ids))  # a valid target has a spot
+    for lo in range(0, len(module_ids), step):
+        rows = slice(lo, lo + step)
+        dx = np.subtract.outer(module_x[rows], spot_x)
+        dy = np.subtract.outer(module_y[rows], spot_y)
+        distance = np.array(list(map(math.hypot, dx.ravel().tolist(), dy.ravel().tolist())),
+                            dtype=float).reshape(dx.shape)
+        matrix[rows] = spot_value - module_spot_cost(index.cost_params, distance, degree,
+                                                     links[rows])
+    return spot_ids, matrix
 
 
 def block_utility(mapping: Mapping[int, int], values: Mapping[int, float],

@@ -67,6 +67,11 @@ MUTANTS = (
      "out.append(dict(reversed(placed)))",
      "a mapping lists its modules in reverse post-order",
      "tests/test_isomorphism.py::test_mappings_list_modules_in_post_order"),
+    ("src/shapeform/isomorphism.py",
+     "return max(int(table.max()) for table in self._table.values())",
+     "return int(self.table(self.module_order[0], None).max())",
+     "the common-subtree size counts only subtrees that hold the smallest module",
+     "tests/test_isomorphism.py::test_mcs_size_with_held_spots_matches_brute_force"),
     ("src/shapeform/allocation.py", "blocked.sort()", "blocked.sort(reverse=True)",
      "blocked members scatter higher id first",
      "tests/test_golden.py::test_digests_match_golden"),

@@ -263,6 +263,45 @@ STAR6 = star_tree(5)
 PATH6 = (6, [(i - 1, i) for i in range(1, 6)])
 
 
+# a path 0-1-2 into a hub 2 with three more leaves: the largest common
+# subtree with a four-leaf star is the hub's, which leaves out module 0
+TAILED_HUB = (6, [(0, 1), (1, 2), (2, 3), (2, 4), (2, 5)])
+
+
+@settings(max_examples=150)
+@given(random_trees(min_nodes=1, max_nodes=7, max_degree=EMBEDDING_DEGREE_LIMIT),
+       random_trees(min_nodes=2, max_nodes=8, max_degree=EMBEDDING_DEGREE_LIMIT),
+       st.randoms(use_true_random=False), st.sets(st.integers(0, 7), min_size=1))
+@example(TAILED_HUB, STAR6, random.Random(2), {5})  # Random(2) keeps the tail's 0 smallest
+def test_mcs_size_with_held_spots_matches_brute_force(config_tree, target_tree, rng, held):
+    """The size read from the tables rooted at the smallest module equals
+    the brute-force maximum common subtree in the forest left after
+    removing the held spots, at every degree the table admits."""
+    cn, config_edges = relabelled(config_tree, rng)
+    tn, target_edges = target_tree
+    held = frozenset(held) & set(range(tn))
+    assume(held and len(held) < tn)
+    target_adj = adjacency(tn, target_edges)
+    forest = {u: target_adj[u] - held for u in target_adj if u not in held}
+    found = best_embeddings(config_from_edges(range(cn), config_edges),
+                            states_for(target_from_edges(tn, target_edges)), 1, held)
+    assert found[0].size == brute_mcs_size(adjacency(cn, config_edges), forest)
+
+
+@given(wide_trees(), wide_trees(), st.randoms(use_true_random=False))
+def test_mcs_size_builds_no_table(config_tree, target_tree, rng):
+    """The size reads only the tables that ``table(m0, None)`` builds for the
+    full embedding search: m0's root table and one table per other module."""
+    cn, config_edges = relabelled(config_tree, rng)
+    search = _PairSearch(config_from_edges(range(cn), config_edges),
+                         states_for(target_from_edges(*target_tree)))
+    search.table(0, None)
+    built = list(search._table)
+    assert len(built) == cn
+    search.max_common_size()
+    assert list(search._table) == built
+
+
 @given(wide_trees(), wide_trees())
 @example(STAR6, PATH6)  # configuration wider than the target
 @example(PATH6, STAR6)  # target wider than the configuration
@@ -495,7 +534,17 @@ def test_order_embeddings_by_utility_then_spot_sum():
             assert sum(first.mapping.values()) <= sum(second.mapping.values())
 
 
+def mirrored_pair_scenario():
+    """A two-module block above the middle of a three-spot path: mirrored
+    embeddings tie exactly in block utility."""
+    modules = (Module(0, Pose(1.0, 1.0), config_id=0), Module(1, Pose(1.0, 2.0), config_id=0))
+    return validate_scenario(Scenario(
+        modules=modules, configurations=(config_from_edges([0, 1], [(0, 1)]),),
+        target=path_target(3)))
+
+
 @given(grid_scenarios())
+@example(mirrored_pair_scenario())
 def test_exact_utility_ties_come_in_ascending_spot_sum(scenario):
     """Integer-grid scenarios give embeddings of exactly equal block utility;
     with every embedding enumerated, each such run is ordered by the sum of

@@ -1,9 +1,11 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from shapeform import utility
 from shapeform.allocation import SINGLETON, AllocationState
 from shapeform.generate import GenParams, generate_scenario
 from shapeform.isomorphism import TargetStates, best_embeddings
@@ -21,6 +23,7 @@ from shapeform.model import (
     validate_scenario,
 )
 from shapeform.utility import (
+    ROW_SLICE_CELLS,
     BlockSizeError,
     EmbeddingError,
     block_utility,
@@ -357,3 +360,38 @@ def test_block_utility_matches_reference_with_and_without_state(n, seed, rng_see
             got = block_utility(embedding.mapping, values, index)
             assert got == reference_block_utility(embedding.mapping, values, index, None, params)
             assert got == reference_block_utility(embedding.mapping, values, index, state, params)
+
+
+def _singleton_rows_input(n):
+    """The index and spot values of an n-spot singleton-only scenario."""
+    scenario = generate_scenario(GenParams(n_spots=n, singletons_only=True, seed=1))
+    return ScenarioIndex.build(scenario), spot_values(scenario.target)
+
+
+def test_sliced_rows_equal_rows_built_alone():
+    """A batch past ``ROW_SLICE_CELLS`` is built in slices of rows, and every
+    row equals the row of its module built alone, bit for bit."""
+    index, values = _singleton_rows_input(300)
+    assert 300 * 300 > ROW_SLICE_CELLS
+    spot_ids, matrix = utility_rows(index, values, index.singleton_ids)
+    for module_id, row in zip(index.singleton_ids, matrix):
+        alone = utility_rows(index, values, [module_id])
+        assert alone[0] == spot_ids
+        assert alone[1][0].tobytes() == row.tobytes()
+
+
+def test_singleton_rows_peak_under_twice_the_matrix(monkeypatch):
+    """Building n singletons' rows holds one slice of Python floats at a
+    time, so the traced peak stays under twice the matrix; a whole-batch
+    build peaked at fourteen times.  The slice is shrunk so that a small,
+    quickly traced batch spans many slices."""
+    monkeypatch.setattr(utility, "ROW_SLICE_CELLS", 2 ** 10)
+    index, values = _singleton_rows_input(200)
+    tracemalloc.start()
+    try:
+        _, matrix = utility_rows(index, values, index.singleton_ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.shape == (200, 200)
+    assert peak < 2 * matrix.nbytes
